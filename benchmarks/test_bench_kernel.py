@@ -1,52 +1,27 @@
-"""Kernel hot-path regression bench: optimized kernel vs frozen seed.
+"""Kernel hot-path microbenchmarks: events/sec of the simulation kernel.
 
-``_seed_kernel.py`` is a verbatim copy of ``sim/kernel.py`` as it stood
-before the hot-path work (trampoline elimination, Timeout free-list,
-``Environment.__slots__``, single-event condition short-circuit, inlined
-run loops).  The bench runs the same four microbenchmarks against both
-modules, interleaved, and asserts the geometric-mean events/sec ratio —
-so a future kernel change that gives the speedup back fails loudly here
-rather than silently.
+Four microbenchmarks time the kernel's hottest patterns, best of
+``_ROUNDS`` rounds each.  Run directly to print the rates; the last line
+of output is one JSON object mapping each microbenchmark to events/sec,
+so ``benchmarks/ab.py`` can compare them across commits::
 
-Run directly (``python benchmarks/test_bench_kernel.py``) to refresh the
-committed ``BENCH_kernel.json`` baseline, including the serial vs
-``--jobs`` wall-clock of one sweep experiment.
+    python benchmarks/ab.py --base <ref> benchmarks/test_bench_kernel.py
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import math
-import os
 import time
-from pathlib import Path
 
-import pytest
+from repro.sim.kernel import Environment
 
-from repro.sim import kernel as new_kernel
-
-_HERE = Path(__file__).resolve().parent
 _ROUNDS = 5
-_TARGET_GEOMEAN = 1.3
 
 
-def _load_seed_kernel():
-    spec = importlib.util.spec_from_file_location(
-        "faasflow_seed_kernel", _HERE / "_seed_kernel.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-# -- microbenchmarks -----------------------------------------------------
-# Each takes a kernel module and returns events/sec for its hot loop.
-
-def bench_timeout_churn(K, n=100_000):
+def bench_timeout_churn(n=100_000):
     """One process burning through n short timeouts (the dominant
     pattern in the simulator: container timers, transfer completions)."""
-    env = K.Environment()
+    env = Environment()
 
     def ticker(env):
         for _ in range(n):
@@ -58,10 +33,10 @@ def bench_timeout_churn(K, n=100_000):
     return n / (time.perf_counter() - start)
 
 
-def bench_processed_event_yield(K, n=100_000):
-    """Yielding an already-processed event n times — the trampoline
-    path that used to allocate a throwaway Event per resume."""
-    env = K.Environment()
+def bench_processed_event_yield(n=100_000):
+    """Yielding an already-processed event n times (the resume path
+    that must not allocate a throwaway Event per resume)."""
+    env = Environment()
     ev = env.event()
     ev.succeed("v")
     env.run()
@@ -76,10 +51,10 @@ def bench_processed_event_yield(K, n=100_000):
     return n / (time.perf_counter() - start)
 
 
-def bench_process_spawn(K, n=30_000):
+def bench_process_spawn(n=30_000):
     """Spawning and awaiting n short-lived child processes (one
     bootstrap resume + one zero-delay timeout each)."""
-    env = K.Environment()
+    env = Environment()
 
     def leaf(env):
         yield env.timeout(0.0)
@@ -95,9 +70,9 @@ def bench_process_spawn(K, n=30_000):
     return n / (time.perf_counter() - start)
 
 
-def bench_single_condition(K, n=60_000):
+def bench_single_condition(n=60_000):
     """all_of over a single event — the short-circuit mirror path."""
-    env = K.Environment()
+    env = Environment()
 
     def waiter(env):
         for _ in range(n):
@@ -117,78 +92,18 @@ BENCHES = [
 ]
 
 
-def _measure():
-    """Best-of-_ROUNDS events/sec for both kernels, interleaved A/B so
-    thermal/scheduler drift hits both sides equally."""
-    seed_kernel = _load_seed_kernel()
-    results = {}
-    for name, fn in BENCHES:
-        seed_best = 0.0
-        opt_best = 0.0
-        for _ in range(_ROUNDS):
-            seed_best = max(seed_best, fn(seed_kernel))
-            opt_best = max(opt_best, fn(new_kernel))
-        results[name] = {
-            "seed_events_per_sec": round(seed_best),
-            "optimized_events_per_sec": round(opt_best),
-            "speedup": round(opt_best / seed_best, 3),
-        }
-    geomean = math.exp(
-        sum(math.log(r["speedup"]) for r in results.values()) / len(results)
-    )
-    return results, round(geomean, 3)
-
-
-def test_kernel_speedup_vs_seed(benchmark):
-    def run_ab():
-        return _measure()
-
-    results, geomean = benchmark(run_ab)
-    benchmark.extra_info["benches"] = results
-    benchmark.extra_info["geomean_speedup"] = geomean
-    assert geomean >= _TARGET_GEOMEAN, (
-        f"kernel geomean speedup regressed to {geomean:.2f}x "
-        f"(target >= {_TARGET_GEOMEAN}x): {results}"
-    )
-
-
-def _time_sweep(jobs: int) -> float:
-    from repro.experiments import fig12_bandwidth_sweep
-
-    MB = 1024 * 1024
-    start = time.perf_counter()
-    fig12_bandwidth_sweep.run(
-        invocations=6,
-        rates=(2.0, 6.0),
-        bandwidths=(25 * MB, 100 * MB),
-        jobs=jobs,
-    )
-    return round(time.perf_counter() - start, 3)
-
-
-def main() -> None:
-    results, geomean = _measure()
-    payload = {
-        "bench": "kernel hot path (events/sec, best of "
-        f"{_ROUNDS} interleaved rounds)",
-        "baseline": "benchmarks/_seed_kernel.py (pre-optimization kernel)",
-        "cpu_count": os.cpu_count(),
-        "benches": results,
-        "geomean_speedup": geomean,
-        "sweep_wall_clock": {
-            "experiment": "fig12 (quick: 2 bandwidths x 2 rates, "
-            "6 invocations)",
-            "serial_seconds": _time_sweep(jobs=1),
-            "jobs2_seconds": _time_sweep(jobs=2),
-            "note": "--jobs only pays off with >1 core; identical "
-            "results either way is the invariant under test",
-        },
+def measure(rounds: int = _ROUNDS) -> dict[str, int]:
+    """Best-of-``rounds`` events/sec per microbenchmark."""
+    return {
+        name: round(max(fn() for _ in range(rounds))) for name, fn in BENCHES
     }
-    out = _HERE.parent / "BENCH_kernel.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload, indent=2))
-    print(f"\nwritten to {out}")
+
+
+def test_kernel_events_per_sec(benchmark):
+    rates = benchmark.pedantic(measure, args=(1,), rounds=1, iterations=1)
+    benchmark.extra_info["events_per_sec"] = rates
+    assert all(rate > 0 for rate in rates.values())
 
 
 if __name__ == "__main__":
-    main()
+    print(json.dumps(measure()))

@@ -4,8 +4,7 @@ Drives the ``fig_scale`` cluster workload three ways over the same
 byte-exact arrival plan:
 
 - **single-process (stepped)** — today's default path:
-  ``drive_network`` with ``progress="stepped"``, the mode
-  ``BENCH_network.json`` pins against the frozen seed;
+  ``drive_network`` with ``progress="stepped"``;
 - **single-process (analytic)** — ``run_network_single``: one
   environment in ``progress="analytic"`` mode, the exactness reference
   every sharded run must match bit-for-bit;
@@ -34,7 +33,6 @@ import time
 from pathlib import Path
 
 from repro.experiments.fig_scale import drive_network, drive_network_sharded
-from repro.sim import network as live_network
 
 _HERE = Path(__file__).resolve().parent
 _ROUNDS = 2
@@ -72,13 +70,12 @@ def _measure(cells, shard_counts, rounds: int = _ROUNDS):
         ref_records = reference["records"]
 
         # Today's single-process path (stepped mode), timed as-is.
-        stepped = drive_network(live_network, nodes, flows)
+        stepped = drive_network(nodes, flows)
         stepped_rounds = 1 if stepped["wall_seconds"] > 5.0 else rounds
         stepped_wall = stepped["wall_seconds"]
         for _ in range(stepped_rounds - 1):
             stepped_wall = min(
-                stepped_wall,
-                drive_network(live_network, nodes, flows)["wall_seconds"],
+                stepped_wall, drive_network(nodes, flows)["wall_seconds"]
             )
 
         analytic_wall = _best_of(
@@ -180,9 +177,8 @@ def main(argv=None) -> int:
     payload = {
         "bench": "sharded cluster simulation vs single-process (wall clock "
         f"per sweep cell, best of {rounds} round(s))",
-        "baseline": "single-process fig_scale.drive_network (stepped mode; "
-        "the path BENCH_network.json pins); exactness reference is the "
-        "single-process analytic run",
+        "baseline": "single-process fig_scale.drive_network (stepped "
+        "mode); exactness reference is the single-process analytic run",
         "workload": "fig_scale.make_plan: worker-group transfers with a "
         "per-group collector hotspot (group_size=8), partition aligned "
         "on group boundaries (strict, zero cross-shard flows)",

@@ -106,7 +106,7 @@ class EngineConfig:
     # messages one engine step emits toward the same destination into a
     # single network transfer and a single handler wakeup.  Off by
     # default — the default event sequence is pinned bit-identically by
-    # BENCH_engine.json's A/B harness, while batched mode *diverges*
+    # tests/test_golden_digests.py, while batched mode *diverges*
     # (documented in API.md "Serving throughput" and pinned by test):
     # the coalesced transfer carries the summed payload and the whole
     # batch pays one engine step instead of one per message, so

@@ -21,7 +21,7 @@ engine memory tracks concurrency, not history.  With
 ``EngineConfig.batch_control`` the control messages emitted by one
 engine step coalesce per destination into a single transfer and a
 single remote engine wakeup (documented divergence; default off keeps
-the frozen-seed event sequence bit-identical).
+the event sequence pinned by ``tests/test_golden_digests.py``).
 """
 
 from __future__ import annotations

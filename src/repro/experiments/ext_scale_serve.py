@@ -1,8 +1,8 @@
 """Extension — sustained serving at scale (~1M invocations, ISSUE 10).
 
-The engine bench (``benchmarks/test_bench_engine.py``) measures *how
-fast* the hot path is against the frozen pre-PR engines; this
-experiment demonstrates *that it sustains*: one simulated cluster
+The end-to-end benchmark (``perfbench/``, workload ``serve``) measures
+*how fast* the hot path is; this experiment demonstrates *that it
+sustains*: one simulated cluster
 serves on the order of a million open-loop invocations across eight
 tenants without accumulating per-invocation state anywhere.
 

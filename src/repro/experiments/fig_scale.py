@@ -5,9 +5,8 @@ related DAG engines (DFlow; Wukong, "In Search of a Fast and Efficient
 Serverless DAG Engine") evaluate at hundreds of concurrent invocations.
 This sweep drives the fluid network model alone — no engines, no
 containers — across cluster sizes and concurrent-flow counts and reports
-how fast the simulator itself processes flow events.  It is the
-experiment-harness face of ``benchmarks/test_bench_network.py``, which
-additionally A/B-compares against the frozen pre-optimization model.
+how fast the simulator itself processes flow events.  Its simulated
+results are pinned by ``tests/test_golden_digests.py``.
 
 The workload models FaaSFlow's locality structure: the cluster is
 partitioned into worker groups of ``group_size`` nodes (one deployed
@@ -25,7 +24,7 @@ from __future__ import annotations
 import random
 import time
 
-from ..sim import Environment, MB
+from ..sim import MB, Environment, Network, NetworkConfig
 from .common import ExperimentResult, ParallelRunner
 
 __all__ = [
@@ -80,7 +79,6 @@ def make_plan(
 
 
 def drive_network(
-    network_module,
     nodes: int,
     flows: int,
     seed: int = 11,
@@ -90,20 +88,14 @@ def drive_network(
     collect_records: bool = False,
     telemetry: bool = False,
 ) -> dict:
-    """Run one sweep cell against ``network_module`` and time it.
-
-    ``network_module`` is any module exposing the ``Network`` /
-    ``NetworkConfig`` API — the live ``repro.sim.network`` or the frozen
-    ``benchmarks/_seed_network.py`` baseline — so the same byte-exact
-    workload drives both sides of an A/B comparison.
-    """
+    """Run one sweep cell on a single-process network and time it."""
     plan = make_plan(
         nodes, flows, seed=seed,
         group_size=group_size, hotspot_fraction=hotspot_fraction,
     )
 
     env = Environment()
-    net = network_module.Network(env, network_module.NetworkConfig())
+    net = Network(env, NetworkConfig())
     registry = None
     if telemetry:
         from ..obs.telemetry import MetricsRegistry
@@ -210,9 +202,7 @@ def drive_network_sharded(
 def _cell(task: tuple) -> dict:
     """One sweep cell against the live network model (pool-shippable)."""
     nodes, flows, seed, telemetry = task
-    from ..sim import network as live
-
-    return drive_network(live, nodes, flows, seed=seed, telemetry=telemetry)
+    return drive_network(nodes, flows, seed=seed, telemetry=telemetry)
 
 
 def run(
@@ -290,8 +280,6 @@ def run(
         notes=[
             "events/sec = flow arrivals + completions over real wall time; "
             "simulated results are wall-time independent",
-            "A/B speedup vs the frozen pre-optimization model lives in "
-            "BENCH_network.json (benchmarks/test_bench_network.py)",
         ]
         + (
             [

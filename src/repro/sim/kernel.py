@@ -463,20 +463,9 @@ class Environment:
         "_timeout_pool",
         "_resume_pool",
         "_cancelled_timers",
-        "_compaction_threshold",
     )
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        timer_compaction_threshold: int = 64,
-        scheduler=None,
-    ):
-        if timer_compaction_threshold < 1:
-            raise SimulationError(
-                "timer_compaction_threshold must be >= 1, got "
-                f"{timer_compaction_threshold}"
-            )
+    def __init__(self, initial_time: float = 0.0, scheduler=None):
         from .sched import HeapScheduler, WheelScheduler, make_scheduler
 
         self._now = float(initial_time)
@@ -484,7 +473,6 @@ class Environment:
         self._active_process: Optional[Process] = None
         self._crashed: list[tuple[Process, BaseException]] = []
         self._cancelled_timers = 0
-        self._compaction_threshold = int(timer_compaction_threshold)
         self._sched = make_scheduler(self, scheduler)
         # The heap's backing list is aliased as ``_queue`` so the inlined
         # dispatch loops (and the hot factories below) keep using
@@ -526,15 +514,6 @@ class Environment:
     def queued_events(self) -> int:
         """Entries queued, including cancelled-but-queued tombstones."""
         return len(self._sched)
-
-    @property
-    def timer_compaction_threshold(self) -> int:
-        """Cancelled-timer count below which heap compaction never runs.
-
-        Heap-only knob: the wheel scheduler drops tombstones
-        bucket-locally and never runs a global compaction pass.
-        """
-        return self._compaction_threshold
 
     # -- event factories ----------------------------------------------
     def event(self) -> Event:
@@ -649,7 +628,7 @@ class Environment:
         """Bookkeeping hook for :meth:`Timeout.cancel`.
 
         Delegates to the scheduler: the heap rebuilds itself without
-        tombstones once they pass ``timer_compaction_threshold`` AND
+        tombstones once they pass ``TIMER_COMPACTION_THRESHOLD`` AND
         make up more than half of the queue; the wheel drops tombstones
         bucket-locally and treats this as a no-op.
         """

@@ -49,7 +49,8 @@ Progress modes
   shards produce bit-identical completion times — this is the mode the
   shard coordinator runs, and it is also faster (no per-flow global
   advance).  The two modes agree to float tolerance but not bit-for-bit,
-  which is why stepped stays the default for the frozen-seed benches.
+  which is why stepped stays the default: switching would change the
+  records pinned by ``tests/test_golden_digests.py``.
 """
 
 from __future__ import annotations

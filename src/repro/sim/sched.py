@@ -7,8 +7,7 @@ priority structure.  This module provides that structure behind a small
 
 - :class:`HeapScheduler` — the binary heap the kernel has always used
   (``heapq`` on a plain list).  O(log n) insert/extract with a very
-  small C constant; the default, and the one the frozen-seed kernel
-  benchmark (``BENCH_kernel.json``) pins.
+  small C constant; the default.
 - :class:`WheelScheduler` — a calendar-queue / hierarchical timer
   wheel: an array of buckets covering the active rotation, an overflow
   tier for far-future timers, and lazy per-bucket sorting.  O(1)
@@ -53,6 +52,7 @@ __all__ = [
     "resolve_scheduler_name",
     "set_default_scheduler",
     "DEFAULT_SCHEDULER_ENV",
+    "TIMER_COMPACTION_THRESHOLD",
 ]
 
 _INF = float("inf")
@@ -62,6 +62,10 @@ _INF = float("inf")
 # CLI covers every Environment a run constructs — including shard
 # workers and ``--jobs`` pool children.
 DEFAULT_SCHEDULER_ENV = "FAASFLOW_SCHEDULER"
+
+# Cancelled timers the heap tolerates before it considers compacting
+# (see ``HeapScheduler.note_cancelled``).
+TIMER_COMPACTION_THRESHOLD = 64
 
 
 class Scheduler:
@@ -121,7 +125,7 @@ class Scheduler:
 
         Returns True when the scheduler compacted its structure and the
         environment should reset its cancelled-timer counter.  The heap
-        rebuilds itself past the ``timer_compaction_threshold``; the
+        rebuilds itself past ``TIMER_COMPACTION_THRESHOLD``; the
         wheel never needs to — tombstones are dropped bucket-locally
         when their bucket is loaded, so this is a no-op there.
         """
@@ -187,12 +191,12 @@ class HeapScheduler(Scheduler):
         (one 60 s execution timeout per invocation, say) would otherwise
         accumulate for their full nominal delay and make the heap grow
         with throughput instead of with live work.  Triggers once the
-        cancelled population passes ``timer_compaction_threshold`` AND
+        cancelled population passes ``TIMER_COMPACTION_THRESHOLD`` AND
         makes up more than half of the queue.
         """
         env = self.env
         heap = self.heap
-        if count < env._compaction_threshold or count * 2 < len(heap):
+        if count < TIMER_COMPACTION_THRESHOLD or count * 2 < len(heap):
             return False
         keep = []
         retire = env._retire_cancelled
@@ -240,8 +244,8 @@ class WheelScheduler(Scheduler):
 
     Cancelled timers are tombstones wherever they sit; they are dropped
     *bucket-locally* when their bucket is loaded (no global compaction
-    pass — ``note_cancelled`` is a no-op and the environment's
-    ``timer_compaction_threshold`` knob is heap-only).
+    pass — ``note_cancelled`` is a no-op and
+    ``TIMER_COMPACTION_THRESHOLD`` applies to the heap only).
 
     ``width`` is a pure performance knob (bucket span in simulated
     seconds): the extraction order is always the exact ``(when, eid)``

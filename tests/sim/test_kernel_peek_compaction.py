@@ -5,18 +5,17 @@ surfaces or compaction sweeps it), which used to let ``peek()`` report a
 time that would never fire.  That is fatal for the shard barrier
 protocol: the coordinator sizes conservative windows from each shard's
 ``peek()``, and termination detection treats ``peek() == inf`` as
-"drained".  These tests pin the repaired contract, plus the
-``timer_compaction_threshold`` knob and its behavior under container
+"drained".  These tests pin the repaired contract, plus the heap's
+``TIMER_COMPACTION_THRESHOLD`` and its behavior under container
 keep-alive churn (the workload that generates cancelled timers by the
 hundreds).
 """
 
 import random
 
-import pytest
-
+from repro.sim import sched
 from repro.sim.container import ContainerPool, ContainerSpec
-from repro.sim.kernel import Environment, SimulationError
+from repro.sim.kernel import Environment
 from repro.sim.resources import CPUAllocator, MemoryAccount
 
 MB = 1024.0 * 1024.0
@@ -92,21 +91,16 @@ class TestPeekSkipsCancelled:
 
 
 class TestCompactionThreshold:
-    """The ``timer_compaction_threshold`` knob is heap-only: the wheel
-    scheduler drops tombstones bucket-locally and never compacts, so
-    these tests pin ``scheduler="heap"`` explicitly."""
+    """``TIMER_COMPACTION_THRESHOLD`` is heap-only: the wheel scheduler
+    drops tombstones bucket-locally and never compacts, so these tests
+    pin ``scheduler="heap"`` explicitly."""
 
     def test_default_threshold(self):
-        assert Environment().timer_compaction_threshold == 64
+        assert sched.TIMER_COMPACTION_THRESHOLD == 64
 
-    def test_threshold_validated(self):
-        with pytest.raises(SimulationError):
-            Environment(timer_compaction_threshold=0)
-        with pytest.raises(SimulationError):
-            Environment(timer_compaction_threshold=-3)
-
-    def test_low_threshold_compacts_early(self):
-        env = Environment(timer_compaction_threshold=1, scheduler="heap")
+    def test_low_threshold_compacts_early(self, monkeypatch):
+        monkeypatch.setattr(sched, "TIMER_COMPACTION_THRESHOLD", 1)
+        env = Environment(scheduler="heap")
         timers = [env.timeout(float(t + 1)) for t in range(4)]
         timers[0].cancel()
         # 1 cancelled out of 4 queued: below the half-queue rule.
@@ -117,7 +111,7 @@ class TestCompactionThreshold:
         assert env._cancelled_timers == 0
 
     def test_high_threshold_defers_compaction(self):
-        env = Environment(timer_compaction_threshold=64, scheduler="heap")
+        env = Environment(scheduler="heap")
         timers = [env.timeout(float(t + 1)) for t in range(4)]
         timers[0].cancel()
         timers[1].cancel()
@@ -170,23 +164,25 @@ class TestKeepAliveChurn:
         # ~400 cancels happened; without compaction the heap would peak
         # near CYCLES entries.  With it, the peak stays around the
         # threshold plus the handful of live events.
-        assert max_queue[0] <= 2 * env.timer_compaction_threshold + 8
+        assert max_queue[0] <= 2 * sched.TIMER_COMPACTION_THRESHOLD + 8
         assert env.peek() == INF or env.peek() > env.now
 
-    def test_tighter_threshold_means_tighter_bound(self):
-        env = Environment(timer_compaction_threshold=8, scheduler="heap")
+    def test_tighter_threshold_means_tighter_bound(self, monkeypatch):
+        monkeypatch.setattr(sched, "TIMER_COMPACTION_THRESHOLD", 8)
+        env = Environment(scheduler="heap")
         pool = _make_pool(env)
         max_queue = [0]
         self._churn(env, pool, max_queue)
         assert pool.warm_reuses == self.CYCLES - 1
         assert max_queue[0] <= 2 * 8 + 8
 
-    def test_churn_result_independent_of_threshold(self):
-        """The knob is pure mechanism: simulated outcomes are identical
-        whatever the sweep cadence."""
+    def test_churn_result_independent_of_threshold(self, monkeypatch):
+        """The threshold is pure mechanism: simulated outcomes are
+        identical whatever the sweep cadence."""
         finals = []
         for threshold in (1, 8, 64, 10_000):
-            env = Environment(timer_compaction_threshold=threshold)
+            monkeypatch.setattr(sched, "TIMER_COMPACTION_THRESHOLD", threshold)
+            env = Environment(scheduler="heap")
             pool = _make_pool(env)
             self._churn(env, pool, [0])
             finals.append(

@@ -4,8 +4,8 @@
 component's rebalance points and schedules completions at absolute
 times, which makes byte trajectories independent of unrelated traffic's
 event cadence — the property the shard runtime's exactness rests on.
-``progress="stepped"`` (the default) remains the frozen-seed-pinned
-behavior of BENCH_network.json.
+``progress="stepped"`` remains the default; both modes' records are
+pinned by ``tests/test_golden_digests.py``.
 """
 
 import math
@@ -13,7 +13,6 @@ import math
 import pytest
 
 from repro.experiments.fig_scale import drive_network
-from repro.sim import network
 from repro.sim.kernel import Environment, SimulationError
 from repro.sim.network import MB, Network, NetworkConfig
 
@@ -126,9 +125,8 @@ def test_remote_nic_accounting():
 
 
 def test_stepped_mode_unchanged_by_refactor():
-    """The frozen-seed contract: stepped mode still produces exactly the
-    records the pre-shard code produced (spot check via the public
-    drive path; the full pin lives in benchmarks/test_bench_network.py)."""
-    out1 = drive_network(network, 16, 80, seed=5, collect_records=True)
-    out2 = drive_network(network, 16, 80, seed=5, collect_records=True)
+    """Stepped mode replays identically through the public drive path
+    (the cross-commit pin lives in tests/test_golden_digests.py)."""
+    out1 = drive_network(16, 80, seed=5, collect_records=True)
+    out2 = drive_network(16, 80, seed=5, collect_records=True)
     assert out1["records"] == out2["records"]

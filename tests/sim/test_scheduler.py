@@ -25,6 +25,7 @@ from repro.sim import (
     resolve_scheduler_name,
     set_default_scheduler,
 )
+from repro.sim import sched as sched_module
 from repro.sim.sched import DEFAULT_SCHEDULER_ENV
 from repro.sim.shard import run_network_single, run_network_sharded
 
@@ -256,8 +257,9 @@ class TestWheelInternals:
         env.run(until=2.0)
         assert env.queued_events == 1
 
-    def test_compaction_threshold_is_a_noop_under_wheel(self):
-        env = Environment(scheduler="wheel", timer_compaction_threshold=1)
+    def test_compaction_threshold_is_a_noop_under_wheel(self, monkeypatch):
+        monkeypatch.setattr(sched_module, "TIMER_COMPACTION_THRESHOLD", 1)
+        env = Environment(scheduler="wheel")
         for _ in range(20):
             env.timeout(30.0).cancel()
         # The heap would have compacted at threshold 1; the wheel leaves
