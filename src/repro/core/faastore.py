@@ -51,6 +51,9 @@ class DataPolicy:
         self.cluster = cluster
         self.metrics = metrics
         self.env = cluster.env
+        # (workflow, invocation) -> (producer, chunk) -> every store the
+        # object was put into: cleanup deletes exactly these.
+        self._stored: dict[tuple, dict[tuple, list]] = {}
 
     # -- API driven by the function runtime (as sim processes) -----------
     def save_output(
@@ -82,13 +85,31 @@ class DataPolicy:
         self, dag: WorkflowDAG, invocation_id: InvocationID
     ) -> None:
         """Drop any remaining objects of a finished invocation."""
-        for node_obj in dag.nodes:
-            chunks = max(1, int(round(node_obj.map_factor)))
-            for chunk in range(chunks):
-                key = object_key(dag.name, invocation_id, node_obj.name, chunk)
-                self.cluster.remote_store.delete(key)
-                for worker in self.cluster.workers:
-                    worker.memstore.delete(key)
+        stored = self._stored.pop((dag.name, invocation_id), None)
+        if not stored:
+            return
+        objects = list(stored)
+        if len(objects) > 1:
+            # DAG-node then chunk order: each memory store sees its
+            # deletions in one fixed order, so its float usage total
+            # does not depend on which put finished first.
+            position = {name: i for i, name in enumerate(dag.node_names)}
+            objects.sort(key=lambda obj: (position[obj[0]], obj[1]))
+        for producer, chunk in objects:
+            key = object_key(dag.name, invocation_id, producer, chunk)
+            for store in stored[producer, chunk]:
+                store.delete(key)
+
+    def _note_put(self, store, dag, invocation_id, producer, chunk) -> None:
+        """Index an object of the invocation for :meth:`cleanup_invocation`."""
+        stored = self._stored.get((dag.name, invocation_id))
+        if stored is None:
+            stored = self._stored[dag.name, invocation_id] = {}
+        stores = stored.get((producer, chunk))
+        if stores is None:
+            stored[producer, chunk] = [store]
+        elif store not in stores:
+            stores.append(store)
 
     # -- shared helpers ----------------------------------------------------
     def _record(
@@ -151,7 +172,9 @@ class DataPolicy:
     def _remote_put(self, node, dag, invocation_id, function, chunk, size):
         key = object_key(dag.name, invocation_id, function, chunk)
         start = self.env.now
-        yield self.cluster.remote_store.put(key, size, src=node.nic, tag=key)
+        remote_store = self.cluster.remote_store
+        self._note_put(remote_store, dag, invocation_id, function, chunk)
+        yield remote_store.put(key, size, src=node.nic, tag=key)
         self._record(
             dag, invocation_id, function, "", size, self.env.now - start,
             "put", local=False, node=node.name,
@@ -247,6 +270,7 @@ class FaaStorePolicy(DataPolicy):
             start = self.env.now
             done = node.memstore.try_put(key, size)
             if done is not None:
+                self._note_put(node.memstore, dag, invocation_id, function, chunk)
                 # Each consumer function fetches each chunk once.
                 self._refcounts[(key, node.name)] = len(consumers)
                 yield done
@@ -262,6 +286,7 @@ class FaaStorePolicy(DataPolicy):
             # the bytes that are already here instead of re-fetching.
             seeded = node.memstore.try_put(key, size)
             if seeded is not None:
+                self._note_put(node.memstore, dag, invocation_id, function, chunk)
                 self._refcounts[(key, node.name)] = len(local_consumers)
                 yield seeded
             else:
@@ -319,6 +344,9 @@ class FaaStorePolicy(DataPolicy):
             if siblings_pending > 0 and key not in node.memstore:
                 seeded = node.memstore.try_put(key, size)
                 if seeded is not None:
+                    self._note_put(
+                        node.memstore, dag, invocation_id, producer, chunk
+                    )
                     self._refcounts[cache_slot] = siblings_pending
                     yield seeded
                 else:
@@ -370,6 +398,9 @@ class FaaStorePolicy(DataPolicy):
             )
             seeded = dst_node.memstore.try_put(key, size)
             if seeded is not None:
+                self._note_put(
+                    dst_node.memstore, dag, invocation_id, producer, chunk
+                )
                 self._refcounts[slot] = consumers_on_node
                 yield seeded
                 self._record_push(

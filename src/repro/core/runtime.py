@@ -503,12 +503,18 @@ class FunctionRuntime:
                 raise
             finally:
                 worker.cpu.release(cpu_request)
-                if self.telemetry.enabled:
-                    self.telemetry.observe(
-                        "function.execute_seconds", self.env.now - exec_start,
-                        workflow=dag.name, function=function,
-                        node=worker.name, status=status,
-                    )
+                telemetry = self.telemetry
+                if telemetry.enabled:
+                    cache = telemetry.site_cache("function.execute_seconds")
+                    key = (dag.name, function, worker.name, status)
+                    handle = cache.get(key)
+                    if handle is None:
+                        handle = cache[key] = telemetry.bind_histogram(
+                            "function.execute_seconds",
+                            workflow=dag.name, function=function,
+                            node=worker.name, status=status,
+                        )
+                    handle.observe(self.env.now - exec_start)
                 if spans.enabled:
                     spans.record(
                         SpanKind.EXECUTE,

@@ -44,6 +44,9 @@ __all__ = [
     "LogHistogram",
     "Counter",
     "Gauge",
+    "BoundCounter",
+    "BoundHistogram",
+    "BoundGauge",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_TELEMETRY",
@@ -321,14 +324,98 @@ class Gauge:
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": LogHistogram}
 
 
+class _Handle:
+    """One (kind, name, labels) resolved once, emitted into many times.
+
+    The instrument is created on the first emit, so binding a handle
+    never adds an instrument to the snapshot.  :meth:`MetricsRegistry
+    .clear` detaches the instrument; the next emit re-creates it.
+    """
+
+    __slots__ = ("_registry", "_key", "_labels", "_instrument")
+    kind = ""
+
+    def __init__(self, registry: "MetricsRegistry", key: tuple, labels: dict):
+        self._registry = registry
+        self._key = key
+        self._labels = labels
+        self._instrument = None
+
+    def _create(self):
+        self._instrument = self._registry._resolve(
+            self.kind, self._key, self._labels
+        )
+        return self._instrument
+
+
+class BoundCounter(_Handle):
+    """A counter handle: ``inc(value)``."""
+
+    __slots__ = ()
+    kind = "counter"
+
+    def inc(self, value: float = 1.0) -> None:
+        # Counter.inc inlined: counters are the hottest emit.
+        if value < 0:
+            raise ValueError(f"counter increments must be >= 0, got {value}")
+        counter = self._instrument
+        if counter is None:
+            counter = self._create()
+        registry = self._registry
+        window = int(registry.clock() // registry.window)
+        counter.total += value
+        windows = counter.windows
+        windows[window] = windows.get(window, 0.0) + value
+
+
+class BoundHistogram(_Handle):
+    """A histogram handle: ``observe(value)``."""
+
+    __slots__ = ()
+    kind = "histogram"
+
+    def observe(self, value: float) -> None:
+        histogram = self._instrument
+        if histogram is None:
+            histogram = self._create()
+        registry = self._registry
+        histogram.observe(value, int(registry.clock() // registry.window))
+
+
+class BoundGauge(_Handle):
+    """A gauge handle: ``set(value)`` at the current simulated time."""
+
+    __slots__ = ()
+    kind = "gauge"
+
+    def set(self, value: float) -> None:
+        gauge = self._instrument
+        if gauge is None:
+            gauge = self._create()
+        gauge.set(value, self._registry.clock())
+
+
+_HANDLES = {
+    "counter": BoundCounter,
+    "gauge": BoundGauge,
+    "histogram": BoundHistogram,
+}
+
+
 class MetricsRegistry:
     """Get-or-create instrument store keyed by (name, labels).
 
     ``clock`` is a zero-argument callable returning the current
     *simulated* time (usually ``lambda: env.now``); observations fall
-    into window ``int(now // window)`` of that clock.  All three emit
-    shortcuts (:meth:`inc`, :meth:`observe`, :meth:`set_gauge`) accept
-    labels as keyword arguments.
+    into window ``int(now // window)`` of that clock.
+
+    Emits go through bound handles (:meth:`bind_counter`,
+    :meth:`bind_histogram`, :meth:`bind_gauge`): a handle resolves its
+    (kind, name, labels) once and afterwards updates its instrument
+    directly.  The keyword shortcuts (:meth:`inc`, :meth:`observe`,
+    :meth:`set_gauge`) look the handle up per call; hot call sites keep
+    their handles in a :meth:`site_cache`, which lives on the registry
+    so a newly installed registry starts with no stale handles.
     """
 
     enabled = True
@@ -346,12 +433,14 @@ class MetricsRegistry:
         self.growth = float(growth)
         # (name, labels-tuple) -> (kind, labels-dict, instrument)
         self._instruments: dict[tuple, tuple] = {}
+        # kind -> (name, labels-tuple) -> bound handle
+        self._handles: dict[str, dict[tuple, _Handle]] = {
+            kind: {} for kind in _KINDS
+        }
+        # call-site name -> that site's handle cache
+        self._sites: dict[str, dict] = {}
 
-    def _window_index(self) -> int:
-        return int(self.clock() // self.window)
-
-    def _get(self, kind: str, name: str, labels: dict):
-        key = metric_key(name, labels)
+    def _resolve(self, kind: str, key: tuple, labels: dict):
         entry = self._instruments.get(key)
         if entry is None:
             if kind == "histogram":
@@ -362,32 +451,55 @@ class MetricsRegistry:
             return instrument
         if entry[0] != kind:
             raise ValueError(
-                f"metric {name!r} {labels} already registered as {entry[0]}, "
-                f"requested as {kind}"
+                f"metric {key[0]!r} {labels} already registered as "
+                f"{entry[0]}, requested as {kind}"
             )
         return entry[2]
 
+    def _bind(self, kind: str, name: str, labels: dict) -> _Handle:
+        key = metric_key(name, labels)
+        handles = self._handles[kind]
+        handle = handles.get(key)
+        if handle is None:
+            handle = handles[key] = _HANDLES[kind](self, key, dict(labels))
+        return handle
+
     # -- instrument access ----------------------------------------------
     def counter(self, name: str, **labels) -> Counter:
-        return self._get("counter", name, labels)
+        return self._resolve("counter", metric_key(name, labels), labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get("gauge", name, labels)
+        return self._resolve("gauge", metric_key(name, labels), labels)
 
     def histogram(self, name: str, **labels) -> LogHistogram:
-        return self._get("histogram", name, labels)
+        return self._resolve("histogram", metric_key(name, labels), labels)
+
+    # -- bound handles ----------------------------------------------------
+    def bind_counter(self, name: str, **labels) -> BoundCounter:
+        return self._bind("counter", name, labels)
+
+    def bind_histogram(self, name: str, **labels) -> BoundHistogram:
+        return self._bind("histogram", name, labels)
+
+    def bind_gauge(self, name: str, **labels) -> BoundGauge:
+        return self._bind("gauge", name, labels)
+
+    def site_cache(self, site: str) -> dict:
+        """A call site's private dict for caching its bound handles."""
+        cache = self._sites.get(site)
+        if cache is None:
+            cache = self._sites[site] = {}
+        return cache
 
     # -- emit shortcuts ---------------------------------------------------
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
-        self._get("counter", name, labels).inc(value, self._window_index())
+        self._bind("counter", name, labels).inc(value)
 
     def observe(self, name: str, value: float, **labels) -> None:
-        self._get("histogram", name, labels).observe(
-            value, self._window_index()
-        )
+        self._bind("histogram", name, labels).observe(value)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        self._get("gauge", name, labels).set(value, self.clock())
+        self._bind("gauge", name, labels).set(value)
 
     # -- introspection ----------------------------------------------------
     def __len__(self) -> int:
@@ -417,11 +529,18 @@ class MetricsRegistry:
         """Fold a snapshot's instruments into this registry."""
         for entry in snapshot.get("metrics", []):
             kind = entry["kind"]
-            instrument = self._get(kind, entry["name"], entry["labels"])
+            labels = entry["labels"]
+            instrument = self._resolve(
+                kind, metric_key(entry["name"], labels), labels
+            )
             instrument.merge(_KINDS[kind].from_dict(entry))
 
     def clear(self) -> None:
+        """Drop every instrument; bound handles re-create theirs on use."""
         self._instruments.clear()
+        for handles in self._handles.values():
+            for handle in handles.values():
+                handle._instrument = None
 
 
 class NullRegistry:
@@ -429,7 +548,8 @@ class NullRegistry:
 
     Producers hold :data:`NULL_TELEMETRY` by default and guard emits
     behind ``telemetry.enabled``, mirroring :data:`NULL_SPANS` — an
-    uninstrumented run costs one truthiness check per emit point.
+    uninstrumented run costs one truthiness check per emit point.  Every
+    ``bind_*`` call returns the same shared no-op handle.
     """
 
     enabled = False
@@ -461,6 +581,19 @@ class NullRegistry:
 
     def histogram(self, name: str, **labels):
         return self._NULL
+
+    def bind_counter(self, name: str, **labels):
+        return self._NULL
+
+    def bind_histogram(self, name: str, **labels):
+        return self._NULL
+
+    def bind_gauge(self, name: str, **labels):
+        return self._NULL
+
+    def site_cache(self, site: str) -> dict:
+        # Never kept: caching no-op handles would only grow memory.
+        return {}
 
     def inc(self, *args, **kwargs) -> None:
         return None
@@ -525,16 +658,26 @@ def record_invocation_metrics(
     overhead into histograms, plus status / cold-start / retry counters,
     all labeled (tenant, workflow, engine).
     """
-    labels = dict(tenant=tenant, workflow=record.workflow, engine=engine)
-    telemetry.observe("workflow.latency", record.latency, **labels)
-    telemetry.observe(
-        "workflow.scheduling_overhead", record.scheduling_overhead, **labels
-    )
-    telemetry.inc("workflow.invocations", 1.0, status=record.status, **labels)
+    status = record.status
+    cache = telemetry.site_cache("workflow")
+    handles = cache.get((tenant, record.workflow, engine, status))
+    if handles is None:
+        labels = dict(tenant=tenant, workflow=record.workflow, engine=engine)
+        handles = cache[tenant, record.workflow, engine, status] = (
+            telemetry.bind_histogram("workflow.latency", **labels),
+            telemetry.bind_histogram("workflow.scheduling_overhead", **labels),
+            telemetry.bind_counter("workflow.invocations", status=status, **labels),
+            telemetry.bind_counter("workflow.cold_starts", **labels),
+            telemetry.bind_counter("workflow.retries", **labels),
+        )
+    latency, overhead, invocations, cold_starts, retries = handles
+    latency.observe(record.latency)
+    overhead.observe(record.scheduling_overhead)
+    invocations.inc(1.0)
     if record.cold_starts:
-        telemetry.inc("workflow.cold_starts", float(record.cold_starts), **labels)
+        cold_starts.inc(float(record.cold_starts))
     if record.retries:
-        telemetry.inc("workflow.retries", float(record.retries), **labels)
+        retries.inc(float(record.retries))
 
 
 def find_metrics(

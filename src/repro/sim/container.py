@@ -238,10 +238,7 @@ class ContainerPool:
             container.invocations += 1
             self.warm_reuses += 1
             if self.telemetry.enabled:
-                self.telemetry.inc(
-                    "container.warm_reuses", 1.0,
-                    node=self.node_name, function=function,
-                )
+                self._warm_reuse_handle(function).inc(1.0)
             if self.spans.enabled:
                 self.spans.event(
                     SpanKind.CONTAINER, node=self.node_name,
@@ -332,10 +329,7 @@ class ContainerPool:
                 container.invocations += 1
                 self.warm_reuses += 1
                 if self.telemetry.enabled:
-                    self.telemetry.inc(
-                        "container.warm_reuses", 1.0,
-                        node=self.node_name, function=container.function,
-                    )
+                    self._warm_reuse_handle(container.function).inc(1.0)
                 if self.spans.enabled:
                     self.spans.event(
                         SpanKind.CONTAINER, node=self.node_name,
@@ -514,6 +508,15 @@ class ContainerPool:
             request = min(candidates, key=lambda r: r.seq)
             self._waiting[request.function].popleft()
             self._cold_start(request.function, request.version, request.event)
+
+    def _warm_reuse_handle(self, function: str):
+        cache = self.telemetry.site_cache("container.warm_reuses")
+        handle = cache.get((self.node_name, function))
+        if handle is None:
+            handle = cache[self.node_name, function] = self.telemetry.bind_counter(
+                "container.warm_reuses", node=self.node_name, function=function
+            )
+        return handle
 
     def _cancel_expiry(self, container: Container) -> None:
         timer = container._expiry_timer

@@ -403,24 +403,24 @@ class Process(Event):
                 next_target = self._generator.throw(event._value)
         except StopIteration as stop:
             env._active_process = None
-            self.succeed(stop.value)
+            self._exit(True, stop.value)
             return
         except StopProcess as stop:
             env._active_process = None
             self._generator.close()
-            self.succeed(stop.value)
+            self._exit(True, stop.value)
             return
         except Interrupt:
             # The process let an interrupt escape: treat as normal exit.
             env._active_process = None
-            self.succeed(None)
+            self._exit(True, None)
             return
         except BaseException as error:
             env._active_process = None
-            self.fail(error)
             if not self.callbacks:
                 # Nobody is waiting for this process; surface the crash.
                 env._crashed.append((self, error))
+            self._exit(False, error)
             return
         env._active_process = None
         if not isinstance(next_target, Event):
@@ -437,6 +437,25 @@ class Process(Event):
         else:
             self._target = next_target
             next_target.callbacks.append(self._resume)
+
+    def _exit(self, ok: bool, value: Any) -> None:
+        """Trigger the process's own event with its outcome.
+
+        With no waiters yet, the completion is marked processed in
+        place instead of going through the queue: there are no
+        callbacks to run, dropping a queue entry never reorders the
+        others, and a later ``yield`` on the process resumes through
+        ``_schedule_resume`` in the same timestep.
+        """
+        if self.callbacks:
+            if ok:
+                self.succeed(value)
+            else:
+                self.fail(value)
+            return
+        self._ok = ok
+        self._value = value
+        self._state = PROCESSED
 
 
 class Environment:

@@ -466,14 +466,24 @@ class Network:
             pair_bytes[pair] += size
         except KeyError:
             pair_bytes[pair] = size
-        if self.telemetry.enabled:
+        telemetry = self.telemetry
+        if telemetry.enabled:
             # Labeled by the owning source node so sharded telemetry
             # merges as a disjoint union of label-sets: byte sizes are
             # integer-valued, so these counters are exact and
             # order-independent — merged sharded values equal the
             # single-process run's bit for bit.
-            self.telemetry.inc("net.bytes", size, node=src.name, kind=kind)
-            self.telemetry.inc("net.transfers", 1.0, node=src.name, kind=kind)
+            cache = telemetry.site_cache("net")
+            handles = cache.get((src.name, kind))
+            if handles is None:
+                handles = cache[src.name, kind] = (
+                    telemetry.bind_counter("net.bytes", node=src.name, kind=kind),
+                    telemetry.bind_counter(
+                        "net.transfers", node=src.name, kind=kind
+                    ),
+                )
+            handles[0].inc(size)
+            handles[1].inc(1.0)
         if self.spans.enabled:
             # Contention-induced slowdown: actual wire time over the
             # uncontended time the same bytes would have taken.

@@ -23,7 +23,17 @@ class OutOfMemoryError(SimulationError):
 
 
 class UsageSampler:
-    """Integrates a piecewise-constant usage signal over simulated time."""
+    """Integrates a piecewise-constant usage signal over simulated time.
+
+    Keeps O(1) state however long the run: the current value, the peak
+    and the running integral.  :meth:`average` covers the span since the
+    last :meth:`mark` (construction counts as the first mark).
+    """
+
+    __slots__ = (
+        "env", "_value", "_last_change", "_area", "_peak",
+        "_mark_time", "_mark_area",
+    )
 
     def __init__(self, env: Environment, initial: float = 0.0):
         self.env = env
@@ -31,7 +41,8 @@ class UsageSampler:
         self._last_change = env.now
         self._area = 0.0
         self._peak = float(initial)
-        self._samples: list[tuple[float, float]] = [(env.now, float(initial))]
+        self._mark_time = env.now
+        self._mark_area = 0.0
 
     @property
     def value(self) -> float:
@@ -41,36 +52,32 @@ class UsageSampler:
     def peak(self) -> float:
         return self._peak
 
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return list(self._samples)
+    def _integral(self) -> float:
+        """Area under the signal from construction to now."""
+        return self._area + self._value * (self.env.now - self._last_change)
 
     def set(self, value: float) -> None:
         now = self.env.now
         self._area += self._value * (now - self._last_change)
         self._last_change = now
         self._value = float(value)
-        self._peak = max(self._peak, self._value)
-        self._samples.append((now, self._value))
+        if self._value > self._peak:
+            self._peak = self._value
 
     def add(self, delta: float) -> None:
         self.set(self._value + delta)
 
-    def average(self, since: float = 0.0) -> float:
-        """Time-weighted average of the signal from ``since`` to now."""
-        now = self.env.now
-        if now <= since:
+    def mark(self) -> None:
+        """Start a new averaging span at the current time."""
+        self._mark_time = self.env.now
+        self._mark_area = self._integral()
+
+    def average(self) -> float:
+        """Time-weighted average of the signal since the last mark."""
+        elapsed = self.env.now - self._mark_time
+        if elapsed <= 0:
             return self._value
-        area = self._value * (now - self._last_change)
-        prev_t, prev_v = None, None
-        for t, v in self._samples:
-            if prev_t is not None:
-                lo = max(prev_t, since)
-                hi = min(t, now)
-                if hi > lo:
-                    area += prev_v * (hi - lo)
-            prev_t, prev_v = t, v
-        return area / (now - since)
+        return (self._integral() - self._mark_area) / elapsed
 
 
 class CPUAllocator:
@@ -114,9 +121,9 @@ class CPUAllocator:
     def queue_length(self) -> int:
         return self._resource.queue_length
 
-    def average_usage(self, since: float = 0.0) -> float:
-        """Average busy cores over [since, now]."""
-        return self.usage.average(since)
+    def average_usage(self) -> float:
+        """Average busy cores since the last ``usage.mark()``."""
+        return self.usage.average()
 
 
 @dataclass
@@ -191,5 +198,6 @@ class MemoryAccount:
             r.amount for r in self._reservations.values() if r.tag == tag
         )
 
-    def average_usage(self, since: float = 0.0) -> float:
-        return self.usage.average(since)
+    def average_usage(self) -> float:
+        """Average reserved bytes since the last ``usage.mark()``."""
+        return self.usage.average()

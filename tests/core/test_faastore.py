@@ -169,3 +169,108 @@ class TestFaaStorePolicy:
         )
         policy.cleanup_invocation(dag, 1)
         assert node.memstore.key_count == 0
+
+
+def _full_sweep(self, dag, invocation_id):
+    """The cleanup an index replaces: every node x chunk, every store."""
+    for node_obj in dag.nodes:
+        for chunk in range(max(1, int(round(node_obj.map_factor)))):
+            key = object_key(dag.name, invocation_id, node_obj.name, chunk)
+            self.cluster.remote_store.delete(key)
+            for worker in self.cluster.workers:
+                worker.memstore.delete(key)
+
+
+def _genome_run(engine):
+    """Fig. 12's genome with data shipped; per-store delete counts."""
+    from repro.clients import run_closed_loop
+    from repro.core import EngineConfig, HyperFlowServerlessSystem, hash_partition
+    from repro.core.state import reset_invocation_ids
+    from repro.experiments.common import (
+        deploy_with_feedback,
+        make_cluster,
+        make_dataflow,
+        make_faasflow,
+    )
+    from repro.workloads import build
+
+    reset_invocation_ids(1)
+    cluster = make_cluster(storage_bandwidth=50 * MB)
+    dag = build("genome")
+    if engine == "master":
+        system = HyperFlowServerlessSystem(cluster, EngineConfig(ship_data=True))
+        system.register(dag, hash_partition(dag, cluster.worker_names()))
+    else:
+        make = make_faasflow if engine == "worker" else make_dataflow
+        system, scheduler = make(cluster, ship_data=True)
+        deploy_with_feedback(system, scheduler, dag, warmup_invocations=1)
+    run_closed_loop(system, dag.name, 2)
+    cluster.env.run(until=cluster.env.now)
+    stores = [cluster.remote_store, *(w.memstore for w in cluster.workers)]
+    return [s.stats.deletes for s in stores], [s.key_count for s in stores]
+
+
+class TestCleanupIndex:
+    """Cleanup deletes exactly the objects the invocation stored."""
+
+    def test_control_only_invocation_touches_no_store(self, monkeypatch):
+        from repro.clients import run_closed_loop
+        from repro.core import EngineConfig, FaaSFlowSystem, hash_partition
+        from repro.sim import Cluster, ClusterConfig, Environment
+        from repro.sim.storage import LocalMemStore, RemoteKVStore
+
+        touched = []
+        for store_class in (LocalMemStore, RemoteKVStore):
+            monkeypatch.setattr(
+                store_class, "delete", lambda store, key: touched.append(key)
+            )
+        cluster = Cluster(Environment(), ClusterConfig(workers=3))
+        system = FaaSFlowSystem(cluster, EngineConfig(ship_data=False))
+        dag = linear_dag()
+        system.deploy(dag, hash_partition(dag, cluster.worker_names()))
+        records = run_closed_loop(system, dag.name, 2)
+        assert len(records) == 2
+        assert touched == []
+
+    def test_every_put_site_is_cleaned_up(self, env, cluster):
+        """Seeded, read-through and eager-pushed copies that nobody
+        consumed are all dropped with the invocation."""
+        from repro.core import Placement
+
+        policy = FaaStorePolicy(cluster, MetricsCollector())
+        dag = fanout_dag(branches=3)
+        w0, w1, w2 = (cluster.node(f"worker-{i}") for i in range(3))
+        for worker in (w0, w1, w2):
+            worker.set_faastore_quota(100 * MB)
+        placement = Placement(
+            workflow=dag.name,
+            assignment={
+                "head": "worker-0", "b0": "worker-0", "b1": "worker-1",
+                "b2": "worker-1", "tail": "worker-2",
+            },
+        )
+        # Remote put plus a seed of worker-0's cache for b0.
+        drive(env, policy.save_output(w0, dag, placement, 5, "head", 0, 1 * MB))
+        # b1 misses on worker-1 and reads through for sibling b2.
+        drive(
+            env,
+            policy.fetch_input(w1, dag, placement, 5, "head", "b1", 0, 1 * MB),
+        )
+        # An eager push of head's output into worker-2's cache.
+        drive(env, policy.eager_push(w0, w2, dag, placement, 5, "head", 0, 1 * MB, 1))
+        key = object_key(dag.name, 5, "head", 0)
+        assert all(key in w.memstore for w in (w0, w1, w2))
+        assert key in cluster.remote_store
+        policy.cleanup_invocation(dag, 5)
+        assert all(w.memstore.key_count == 0 for w in (w0, w1, w2))
+        assert cluster.remote_store.key_count == 0
+
+    @pytest.mark.parametrize("engine", ["master", "worker", "dataflow"])
+    def test_genome_drains_like_a_full_sweep(self, engine, monkeypatch):
+        from repro.core.faastore import DataPolicy
+
+        deletes, key_counts = _genome_run(engine)
+        assert key_counts == [0] * len(key_counts)
+        assert sum(deletes) > 0
+        monkeypatch.setattr(DataPolicy, "cleanup_invocation", _full_sweep)
+        assert _genome_run(engine) == (deletes, key_counts)

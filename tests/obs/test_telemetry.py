@@ -286,6 +286,120 @@ class TestNullRegistry:
         assert len(NULL_TELEMETRY) == 0
 
 
+class TestBoundHandles:
+    """Handles are the one emit path; keyword emits wrap them."""
+
+    HANDLE_EMIT = {"counter": "inc", "histogram": "observe", "gauge": "set"}
+    KEYWORD_EMIT = {"counter": "inc", "histogram": "observe", "gauge": "set_gauge"}
+
+    @staticmethod
+    def _sequence():
+        # (time, kind, name, value, labels): crosses window boundaries,
+        # revisits old label-sets, and mixes all three kinds.
+        steps = []
+        for i in range(40):
+            t = 0.37 * i
+            node = f"n{i % 3}"
+            steps.append((t, "counter", "bytes", float(1000 + i), {"node": node}))
+            steps.append((t, "histogram", "lat", 0.01 * (i % 7), {"node": node, "wf": "w"}))
+            if i % 5 == 0:
+                steps.append((t, "gauge", "depth", float(i), {"node": node}))
+        return steps
+
+    def _run(self, bound: bool) -> MetricsRegistry:
+        now = {"t": 0.0}
+        reg = MetricsRegistry(clock=lambda: now["t"], window=1.0)
+        cache = {}
+        for t, kind, name, value, labels in self._sequence():
+            now["t"] = t
+            if bound:
+                key = (kind, name, tuple(sorted(labels.items())))
+                handle = cache.get(key)
+                if handle is None:
+                    handle = cache[key] = getattr(reg, f"bind_{kind}")(
+                        name, **labels
+                    )
+                getattr(handle, self.HANDLE_EMIT[kind])(value)
+            else:
+                getattr(reg, self.KEYWORD_EMIT[kind])(name, value, **labels)
+        return reg
+
+    def test_handles_match_keyword_emits_bit_for_bit(self):
+        bound = self._run(bound=True).snapshot()
+        keyword = self._run(bound=False).snapshot()
+        assert json.dumps(bound, sort_keys=True) == json.dumps(
+            keyword, sort_keys=True
+        )
+        assert validate_snapshot(bound) == validate_snapshot(keyword) == []
+        lat = find_metrics(bound, "lat", node="n0")[0]
+        assert len(lat["windows"]) > 1
+
+    def test_no_instrument_before_first_emit(self):
+        reg = MetricsRegistry()
+        counter = reg.bind_counter("ops", node="a")
+        reg.bind_histogram("lat", node="a")
+        reg.bind_gauge("depth", node="a")
+        assert len(reg) == 0
+        assert reg.snapshot()["metrics"] == []
+        counter.inc(2.0)
+        assert [m["name"] for m in reg.snapshot()["metrics"]] == ["ops"]
+
+    def test_same_labels_give_same_handle(self):
+        reg = MetricsRegistry()
+        assert reg.bind_counter("m", a=1, b=2) is reg.bind_counter("m", b=2, a=1)
+
+    def test_kind_mismatch_rejected_on_first_emit(self):
+        reg = MetricsRegistry()
+        reg.inc("m", 1.0)
+        handle = reg.bind_histogram("m")
+        with pytest.raises(ValueError):
+            handle.observe(1.0)
+
+    def test_clear_detaches_handles(self):
+        reg = MetricsRegistry()
+        handle = reg.bind_counter("m")
+        handle.inc(5.0)
+        reg.clear()
+        assert len(reg) == 0
+        handle.inc(1.0)
+        assert reg.counter("m").total == 1.0
+
+    def test_null_handle_is_a_shared_noop(self):
+        handles = [
+            NULL_TELEMETRY.bind_counter("m", node="x"),
+            NULL_TELEMETRY.bind_histogram("h"),
+            NULL_TELEMETRY.bind_gauge("g"),
+        ]
+        assert all(h is handles[0] for h in handles)
+        handles[0].inc(1.0)
+        handles[0].observe(1.0)
+        handles[0].set(1.0)
+        assert len(NULL_TELEMETRY) == 0
+        assert NULL_TELEMETRY.site_cache("net") == {}
+
+    def test_fresh_registry_gets_fresh_handles(self):
+        from repro.sim import Cluster, ClusterConfig, Environment
+
+        env = Environment()
+        cluster = Cluster(env, ClusterConfig(workers=2))
+        src, dst = (node.nic for node in cluster.workers)
+
+        def send():
+            env.run(until=cluster.network.message(src, dst, 100.0))
+
+        first = MetricsRegistry(clock=lambda: env.now)
+        cluster.install_telemetry(first)
+        send()
+        before = json.dumps(first.snapshot(), sort_keys=True)
+        second = MetricsRegistry(clock=lambda: env.now)
+        cluster.install_telemetry(second)
+        send()
+        assert json.dumps(first.snapshot(), sort_keys=True) == before
+        assert [
+            m["total"] for m in find_metrics(second.snapshot(), "net.bytes")
+        ] == [100.0]
+
+
 class TestValidateSnapshot:
     def test_good_snapshot_passes(self):
         reg = MetricsRegistry()

@@ -362,3 +362,51 @@ class TestDeterminism:
             return log
 
         assert trace() == trace()
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+class TestUnwatchedExit:
+    """A process nobody waits on completes in place, off the queue."""
+
+    def test_unwatched_exit_leaves_no_queue_entry(self, scheduler):
+        env = Environment(scheduler=scheduler)
+
+        def quick(env):
+            return 7
+            yield  # pragma: no cover - makes this a generator
+
+        proc = env.process(quick(env))
+        env.step()  # the bootstrap resume runs the generator to its end
+        assert proc.processed and proc.ok and proc.value == 7
+        assert env.queued_events == 0
+
+    def test_late_waiter_gets_value_in_same_timestep(self, scheduler):
+        env = Environment(scheduler=scheduler)
+        seen = []
+
+        def child(env):
+            yield env.timeout(1.0)
+            return "done"
+
+        def parent(env, proc):
+            yield env.timeout(1.0)
+            assert proc.processed  # exited before anyone waited on it
+            value = yield proc
+            seen.append((env.now, value))
+
+        proc = env.process(child(env))
+        env.process(parent(env, proc))
+        env.run()
+        assert seen == [(1.0, "done")]
+
+    def test_unwatched_crash_still_raises(self, scheduler):
+        env = Environment(scheduler=scheduler)
+
+        def crasher(env):
+            yield env.timeout(1.0)
+            raise KeyError("boom")
+
+        env.process(crasher(env))
+        with pytest.raises(SimulationError) as info:
+            env.run()
+        assert isinstance(info.value.__cause__, KeyError)

@@ -41,11 +41,29 @@ class TestUsageSampler:
 
         def step(env, sampler):
             yield env.timeout(5.0)
+            sampler.mark()
             sampler.set(10.0)
 
         env.process(step(env, sampler))
         env.run(until=10.0)
-        assert sampler.average(since=5.0) == pytest.approx(10.0)
+        assert sampler.average() == pytest.approx(10.0)
+
+    def test_mark_restarts_the_average(self, env):
+        sampler = UsageSampler(env, initial=2.0)
+
+        def step(env, sampler):
+            yield env.timeout(4.0)
+            sampler.set(6.0)
+            yield env.timeout(2.0)
+            sampler.mark()
+            yield env.timeout(1.0)
+            sampler.set(0.0)
+
+        env.process(step(env, sampler))
+        env.run(until=10.0)
+        # Since the mark at t=6: 1 s at 6 + 3 s at 0 -> average 1.5.
+        assert sampler.average() == pytest.approx(1.5)
+        assert sampler.peak == 6.0
 
     def test_peak_tracks_maximum(self, env):
         sampler = UsageSampler(env)
