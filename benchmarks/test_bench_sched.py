@@ -181,7 +181,7 @@ def assert_bit_identity(quick: bool) -> dict:
 
     nodes, flows = (16, 80) if quick else (32, 200)
     plan = make_plan(nodes, flows, seed=11)
-    abs_plan = [(at, f"n{s}", f"n{d}", z) for _g, at, s, d, z in plan]
+    abs_plan = [(at, f"n{s}", f"n{d}", z) for at, s, d, z in plan]
     names = [f"n{i}" for i in range(nodes)]
     reference = run_network_single(abs_plan, names, scheduler="heap")
     sharded = run_network_sharded(

@@ -1,22 +1,19 @@
 """Sharded-vs-single-process A/B bench for the conservative shard runtime.
 
-Drives the ``fig_scale`` cluster workload three ways over the same
+Drives the ``fig_scale`` cluster workload two ways over the same
 byte-exact arrival plan:
 
-- **single-process (stepped)** — today's default path:
-  ``drive_network`` with ``progress="stepped"``;
-- **single-process (analytic)** — ``run_network_single``: one
-  environment in ``progress="analytic"`` mode, the exactness reference
-  every sharded run must match bit-for-bit;
+- **single-process** — ``drive_network_sharded`` with ``shards=1``,
+  i.e. ``run_network_single``: one environment, the baseline and the
+  exactness reference every sharded run must match bit-for-bit;
 - **sharded** — ``run_network_sharded`` at S ∈ {2, 4, 8}: NICs
   partitioned across shard processes synchronized with conservative
   time windows (``repro/sim/shard.py``).
 
 Every sharded run's merged transfer records are asserted tuple-identical
-to the analytic single-process run — the bench is invalid on a single
-bit of drift.  The headline number is S=4 wall clock versus the
-single-process path on the 128-node cells; ``shards=1`` is also timed to
-show the passthrough adds no overhead.
+to the single-process run — the bench is invalid on a single bit of
+drift.  The headline number is S=4 wall clock versus the single-process
+run on the 128-node cells.
 
 Run directly (``python benchmarks/test_bench_shard.py``) to refresh the
 committed ``BENCH_shard.json``; pass ``--quick`` for the small sweep the
@@ -29,10 +26,9 @@ from __future__ import annotations
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
-from repro.experiments.fig_scale import drive_network, drive_network_sharded
+from repro.experiments.fig_scale import drive_network_sharded
 
 _HERE = Path(__file__).resolve().parent
 _ROUNDS = 2
@@ -51,51 +47,26 @@ _SHARDS = (2, 4, 8)
 _QUICK_SHARDS = (2, 4)
 
 
-def _best_of(fn, rounds: int) -> float:
-    wall = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        wall = min(wall, time.perf_counter() - start)
-    return wall
-
-
 def _measure(cells, shard_counts, rounds: int = _ROUNDS):
     results = []
     for nodes, flows in cells:
-        # Exactness reference: single-process analytic run.
+        # Baseline and exactness reference: the single-process run.
         reference = drive_network_sharded(
             nodes, flows, 1, collect_records=True
         )
         ref_records = reference["records"]
-
-        # Today's single-process path (stepped mode), timed as-is.
-        stepped = drive_network(nodes, flows)
-        stepped_rounds = 1 if stepped["wall_seconds"] > 5.0 else rounds
-        stepped_wall = stepped["wall_seconds"]
-        for _ in range(stepped_rounds - 1):
-            stepped_wall = min(
-                stepped_wall, drive_network(nodes, flows)["wall_seconds"]
+        single_wall = reference["wall_seconds"]
+        for _ in range(rounds - 1):
+            single_wall = min(
+                single_wall,
+                drive_network_sharded(nodes, flows, 1)["wall_seconds"],
             )
-
-        analytic_wall = _best_of(
-            lambda: drive_network_sharded(nodes, flows, 1), rounds
-        )
-        # shards=1 through the sharded entry point (the passthrough).
-        passthrough_wall = _best_of(
-            lambda: drive_network_sharded(nodes, flows, 1), rounds
-        )
 
         cell = {
             "nodes": nodes,
             "flows": flows,
             "events": 2 * flows,
-            "single_stepped_wall_seconds": round(stepped_wall, 6),
-            "single_analytic_wall_seconds": round(analytic_wall, 6),
-            "shards1_wall_seconds": round(passthrough_wall, 6),
-            "shards1_passthrough_ratio": round(
-                passthrough_wall / analytic_wall, 3
-            ),
+            "single_wall_seconds": round(single_wall, 6),
             "records_identical": True,
             "sharded": {},
         }
@@ -105,8 +76,8 @@ def _measure(cells, shard_counts, rounds: int = _ROUNDS):
             )
             if first["records"] != ref_records:
                 raise AssertionError(
-                    f"sharded run diverged from single-process analytic "
-                    f"run at nodes={nodes} flows={flows} shards={shards}"
+                    f"sharded run diverged from the single-process run "
+                    f"at nodes={nodes} flows={flows} shards={shards}"
                 )
             wall = first["wall_seconds"]
             for _ in range(rounds - 1):
@@ -118,8 +89,7 @@ def _measure(cells, shard_counts, rounds: int = _ROUNDS):
                 )
             cell["sharded"][str(shards)] = {
                 "wall_seconds": round(wall, 6),
-                "speedup_vs_single_process": round(stepped_wall / wall, 3),
-                "speedup_vs_single_analytic": round(analytic_wall / wall, 3),
+                "speedup_vs_single": round(single_wall / wall, 3),
                 "barrier_rounds": first["rounds"],
                 "cross_flows": first["cross_flows"],
                 "backend": first["backend"],
@@ -130,21 +100,18 @@ def _measure(cells, shard_counts, rounds: int = _ROUNDS):
 
 def _aggregate(results) -> dict:
     s4 = [
-        r["sharded"]["4"]["speedup_vs_single_process"]
+        r["sharded"]["4"]["speedup_vs_single"]
         for r in results
         if "4" in r["sharded"]
     ]
     big_s4 = [
-        r["sharded"]["4"]["speedup_vs_single_process"]
+        r["sharded"]["4"]["speedup_vs_single"]
         for r in results
         if "4" in r["sharded"] and r["nodes"] >= 100
     ]
     return {
-        "best_s4_speedup_vs_single_process": max(s4) if s4 else None,
+        "best_s4_speedup_vs_single": max(s4) if s4 else None,
         "best_s4_speedup_100plus_nodes": max(big_s4) if big_s4 else None,
-        "max_shards1_passthrough_ratio": max(
-            r["shards1_passthrough_ratio"] for r in results
-        ),
     }
 
 
@@ -177,13 +144,13 @@ def main(argv=None) -> int:
     payload = {
         "bench": "sharded cluster simulation vs single-process (wall clock "
         f"per sweep cell, best of {rounds} round(s))",
-        "baseline": "single-process fig_scale.drive_network (stepped "
-        "mode); exactness reference is the single-process analytic run",
+        "baseline": "single-process run (fig_scale.drive_network_sharded "
+        "with shards=1), also the exactness reference",
         "workload": "fig_scale.make_plan: worker-group transfers with a "
         "per-group collector hotspot (group_size=8), partition aligned "
         "on group boundaries (strict, zero cross-shard flows)",
         "invariant": "merged sharded records bit-identical to the "
-        "single-process analytic run at every shard count",
+        "single-process run at every shard count",
         "quick": quick,
         "cpu_count": os.cpu_count(),
         "cells": results,

@@ -24,12 +24,11 @@ from __future__ import annotations
 import random
 import time
 
-from ..sim import MB, Environment, Network, NetworkConfig
+from ..sim import MB
 from .common import ExperimentResult, ParallelRunner
 
 __all__ = [
     "run",
-    "drive_network",
     "drive_network_sharded",
     "make_plan",
     "DEFAULT_NODES",
@@ -46,14 +45,10 @@ def make_plan(
     seed: int = 11,
     group_size: int = 8,
     hotspot_fraction: float = 0.3,
-) -> list[tuple[float, float, int, int, float]]:
-    """Generate the arrival plan: ``(gap, at, src, dst, size)`` entries.
+) -> list[tuple[float, int, int, float]]:
+    """Generate the arrival plan: ``(at, src, dst, size)`` entries.
 
-    ``gap`` is the inter-arrival delay consumed by the serial driver's
-    timeout loop; ``at`` is the same instant as an absolute timestamp
-    (``at = previous at + gap``, the identical float-addition sequence the
-    kernel performs when accumulating timeouts, so both representations
-    land on bit-identical start times).  Pre-generating the plan keeps
+    ``at`` is an absolute start time.  Pre-generating the plan keeps
     RNG consumption identical no matter which module or shard layout
     executes it.
     """
@@ -72,64 +67,9 @@ def make_plan(
         if rng.random() < hotspot_fraction and src != group[0]:
             dst = group[0]
         size = rng.uniform(4.0, 40.0) * MB
-        gap = rng.uniform(0.0, window / flows)
-        t = t + gap
-        plan.append((gap, t, src, dst, size))
+        t = t + rng.uniform(0.0, window / flows)
+        plan.append((t, src, dst, size))
     return plan
-
-
-def drive_network(
-    nodes: int,
-    flows: int,
-    seed: int = 11,
-    group_size: int = 8,
-    hotspot_fraction: float = 0.3,
-    bandwidth: float = 100 * MB,
-    collect_records: bool = False,
-    telemetry: bool = False,
-) -> dict:
-    """Run one sweep cell on a single-process network and time it."""
-    plan = make_plan(
-        nodes, flows, seed=seed,
-        group_size=group_size, hotspot_fraction=hotspot_fraction,
-    )
-
-    env = Environment()
-    net = Network(env, NetworkConfig())
-    registry = None
-    if telemetry:
-        from ..obs.telemetry import MetricsRegistry
-
-        registry = MetricsRegistry(clock=lambda: env.now)
-        net.telemetry = registry
-    nics = [net.attach(f"n{i}", bandwidth) for i in range(nodes)]
-
-    def starter(env):
-        for gap, _at, src, dst, size in plan:
-            yield env.timeout(gap)
-            net.transfer(nics[src], nics[dst], size)
-
-    start = time.perf_counter()
-    env.process(starter(env))
-    env.run()
-    wall = time.perf_counter() - start
-    events = 2 * flows  # one arrival + one completion rebalance each
-    out = {
-        "nodes": nodes,
-        "flows": flows,
-        "events": events,
-        "wall_seconds": wall,
-        "events_per_sec": events / wall if wall > 0 else float("inf"),
-        "sim_makespan": env.now,
-    }
-    if collect_records:
-        out["records"] = [
-            (r.src, r.dst, r.size, r.started_at, r.finished_at, r.kind, r.tag)
-            for r in net.records
-        ]
-    if registry is not None:
-        out["telemetry"] = registry.snapshot()
-    return out
 
 
 def drive_network_sharded(
@@ -147,11 +87,12 @@ def drive_network_sharded(
 ) -> dict:
     """Run one sweep cell on ``shards`` conservatively-synchronized shards.
 
-    Uses the same byte-exact arrival plan as :func:`drive_network` but in
-    its absolute-time form, executed through ``repro.sim.shard``.  The
-    default partition keeps each ``group_size`` traffic group whole, so
-    no flow crosses a shard boundary and records come out bit-identical
-    to a single analytic run (``strict=True`` enforces exactly that).
+    Executes the :func:`make_plan` arrival plan through
+    ``repro.sim.shard``; ``shards=1`` is one single-process environment.
+    The default partition keeps each ``group_size`` traffic group whole,
+    so no flow crosses a shard boundary and records come out
+    bit-identical to a single-process run (``strict=True`` enforces
+    exactly that).
     """
     from ..sim.shard import run_network_sharded
 
@@ -161,8 +102,7 @@ def drive_network_sharded(
     )
     names = [f"n{i}" for i in range(nodes)]
     abs_plan = [
-        (at, f"n{src}", f"n{dst}", size)
-        for _gap, at, src, dst, size in plan
+        (at, f"n{src}", f"n{dst}", size) for at, src, dst, size in plan
     ]
     group_size = min(group_size, nodes)
     n_groups = -(-nodes // group_size)
@@ -202,7 +142,7 @@ def drive_network_sharded(
 def _cell(task: tuple) -> dict:
     """One sweep cell against the live network model (pool-shippable)."""
     nodes, flows, seed, telemetry = task
-    return drive_network(nodes, flows, seed=seed, telemetry=telemetry)
+    return drive_network_sharded(nodes, flows, 1, seed=seed, telemetry=telemetry)
 
 
 def run(
@@ -283,9 +223,9 @@ def run(
         ]
         + (
             [
-                "sharded cells use the analytic progress mode with "
-                "conservative windows; records are bit-identical to a "
-                "single analytic run (strict partition alignment)"
+                "sharded cells use conservative windows; records are "
+                "bit-identical to a single-process run (strict partition "
+                "alignment)"
             ]
             if shards > 1
             else []

@@ -475,7 +475,6 @@ class Environment:
         "_queue",
         "_sched",
         "_sched_insert",
-        "_is_wheel",
         "_eid",
         "_active_process",
         "_crashed",
@@ -485,7 +484,7 @@ class Environment:
     )
 
     def __init__(self, initial_time: float = 0.0, scheduler=None):
-        from .sched import HeapScheduler, WheelScheduler, make_scheduler
+        from .sched import HeapScheduler, make_scheduler
 
         self._now = float(initial_time)
         self._eid = 0
@@ -495,15 +494,13 @@ class Environment:
         self._sched = make_scheduler(self, scheduler)
         # The heap's backing list is aliased as ``_queue`` so the inlined
         # dispatch loops (and the hot factories below) keep using
-        # C-level heappush/heappop directly.  Under any other scheduler
-        # ``_queue`` is None, inserts go through the pre-bound
-        # ``_sched_insert``, and dispatch runs the wheel-inlined loop
-        # (``_run_wheel``) or the generic interface loop (``_run_sched``).
+        # C-level heappush/heappop directly.  Under the wheel ``_queue``
+        # is None, inserts go through the pre-bound ``_sched_insert``, and
+        # dispatch runs the wheel-inlined loop (``_run_wheel``).
         self._queue: Optional[list[tuple[float, int, Event]]] = (
             self._sched.heap if type(self._sched) is HeapScheduler else None
         )
         self._sched_insert = self._sched.insert
-        self._is_wheel = type(self._sched) is WheelScheduler
         # Free-lists for the two hottest allocations: Timeout events
         # (recycled only once provably unreferenced) and kernel-internal
         # _Resume entries (never escape, always recycled).
@@ -566,8 +563,8 @@ class Environment:
         bit-identical times regardless of what their local clocks read
         when it was scheduled.  This is the injection primitive the shard
         coordinator uses to deliver cross-shard messages with exact
-        timestamps, and the network's analytic progress mode uses for
-        completion timers.  ``when`` must not be in the past.
+        timestamps, and the network model uses for flow-completion
+        timers.  ``when`` must not be in the past.
         """
         when = float(when)
         if when < self._now:
@@ -753,14 +750,12 @@ class Environment:
         """
         queue = self._queue
         if queue is None:
-            if self._is_wheel:
-                return self._run_wheel(until)
-            return self._run_sched(until)
+            return self._run_wheel(until)
         # The dispatch body below is step() inlined (including the
         # tombstone drop and free-list recycling) — the per-event
         # method-call overhead is measurable at millions of events per
-        # run.  Keep the copies in sync with step()/_recycle() and the
-        # generic loop in _run_sched().
+        # run.  Keep the copies in sync with step()/_recycle() and
+        # _run_wheel().
         crashed = self._crashed
         resume_pool = self._resume_pool
         timeout_pool = self._timeout_pool
@@ -861,7 +856,7 @@ class Environment:
         per event).  The ``_cur``/``_near`` lists are stable objects
         filled in place, so the local aliases below stay valid across
         refills.  Keep in sync with step()/_recycle() and the wheel's
-        own pop()/pop_until().
+        own pop().
         """
         sched = self._sched
         cur = sched._cur
@@ -976,107 +971,6 @@ class Environment:
                 and _getrefcount(event) == 2  # loop local + getrefcount arg
             ):
                 timeout_pool.append(event)
-        if deadline != float("inf"):
-            self._now = deadline
-        return None
-
-    def _run_sched(self, until: Optional[float | Event]) -> Any:
-        """The ``run`` dispatch loop for non-heap schedulers.
-
-        Same semantics as the inlined heap loops above, driven through
-        the :class:`~repro.sim.sched.Scheduler` interface.  Tombstones
-        that survived bucket-local dropping (cancelled after their
-        bucket was loaded) are retired here, clock untouched.
-        """
-        sched = self._sched
-        crashed = self._crashed
-        resume_pool = self._resume_pool
-        timeout_pool = self._timeout_pool
-        if isinstance(until, Event):
-            stop_event = until
-            if not stop_event.processed:
-                stop_event.callbacks.append(lambda _event: None)
-            pop = sched.pop
-            while stop_event._state != PROCESSED:
-                try:
-                    when, _, event = pop()
-                except IndexError:
-                    raise SimulationError(
-                        "event queue drained before the awaited event fired"
-                    ) from None
-                cls = type(event)
-                if cls is Timeout and event._cancelled:
-                    event._cancelled = False
-                    event._state = PROCESSED
-                    event.callbacks.clear()
-                    self._cancelled_timers -= 1
-                    if (
-                        _getrefcount is not None
-                        and len(timeout_pool) < _POOL_CAP
-                        and _getrefcount(event) == 2  # loop local + getrefcount arg
-                    ):
-                        timeout_pool.append(event)
-                    continue
-                self._now = when
-                event._process_callbacks()
-                if crashed:
-                    process, error = crashed.pop()
-                    raise SimulationError(
-                        f"process {process.name!r} crashed at t={self._now}"
-                    ) from error
-                if cls is _Resume:
-                    if len(resume_pool) < _POOL_CAP:
-                        resume_pool.append(event)
-                elif (
-                    cls is Timeout
-                    and _getrefcount is not None
-                    and len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
-                ):
-                    timeout_pool.append(event)
-            if stop_event.ok:
-                return stop_event._value
-            raise stop_event._value
-        deadline = float("inf") if until is None else float(until)
-        if deadline < self._now:
-            return None
-        pop_until = sched.pop_until
-        while True:
-            entry = pop_until(deadline)
-            if entry is None:
-                break
-            when, _, event = entry
-            cls = type(event)
-            if cls is Timeout and event._cancelled:
-                event._cancelled = False
-                event._state = PROCESSED
-                event.callbacks.clear()
-                self._cancelled_timers -= 1
-                del entry  # release the key tuple so the proof below holds
-                if (
-                    _getrefcount is not None
-                    and len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
-                ):
-                    timeout_pool.append(event)
-                continue
-            self._now = when
-            event._process_callbacks()
-            if crashed:
-                process, error = crashed.pop()
-                raise SimulationError(
-                    f"process {process.name!r} crashed at t={self._now}"
-                ) from error
-            if cls is _Resume:
-                if len(resume_pool) < _POOL_CAP:
-                    resume_pool.append(event)
-            elif cls is Timeout and _getrefcount is not None:
-                del entry  # release the key tuple before the refcount proof
-                if (
-                    len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
-                ):
-                    timeout_pool.append(event)
         if deadline != float("inf"):
             self._now = deadline
         return None

@@ -4,10 +4,10 @@ The paper's tail-latency results (Figs. 12-14) hinge on functions
 contending for the storage node's NIC.  This module models each node's
 network interface as a pair of unidirectional links (egress / ingress)
 with finite bandwidth.  Bulk data transfers are *flows*: whenever the set
-of active flows changes, the remaining bytes of every flow are advanced
-and rates are re-allocated with the classic max-min fairness water-filling
-algorithm (each flow is bottlenecked by the most-contended link it
-crosses).
+of active flows changes, the flows it can affect are advanced to the
+current time and their rates are re-allocated with the classic max-min
+fairness water-filling algorithm (each flow is bottlenecked by the
+most-contended link it crosses).
 
 Two structural optimizations keep the model usable at cluster scale
 (100+ nodes, thousands of concurrent flows) without changing a single
@@ -32,25 +32,12 @@ latency-dominated and bypass the fluid machinery: they cost propagation
 latency plus nominal serialization time.  The threshold separating the
 two regimes is configurable.
 
-Progress modes
---------------
-``NetworkConfig.progress`` selects how flow byte-counters advance:
-
-- ``"stepped"`` (default) — the historical behavior: every network
-  event advances *all* active flows to the current time before rates
-  change.  A flow's ``remaining`` is always current, but its value
-  depends on the global event cadence (each intermediate event splits
-  the float subtraction differently).
-- ``"analytic"`` — flows settle only at their *own* component's
-  rebalances, and completions are scheduled at absolute times via
-  :meth:`Environment.schedule_at`.  Because a class's byte trajectory
-  then depends only on the event history of its own connected
-  component, two simulations that partition disjoint components across
-  shards produce bit-identical completion times — this is the mode the
-  shard coordinator runs, and it is also faster (no per-flow global
-  advance).  The two modes agree to float tolerance but not bit-for-bit,
-  which is why stepped stays the default: switching would change the
-  records pinned by ``tests/test_golden_digests.py``.
+Flow byte-counters settle only at their *own* component's rebalances,
+and completions are scheduled at absolute times via
+:meth:`Environment.schedule_at`.  A class's byte trajectory therefore
+depends only on the event history of its own connected component, so
+two simulations that partition disjoint components across shards
+produce bit-identical completion times (see ``repro.sim.shard``).
 """
 
 from __future__ import annotations
@@ -71,8 +58,8 @@ MB = 1024.0 * 1024.0
 
 _EPS = 1e-9
 _INF = float("inf")
-# Below this many active classes, skip component discovery and
-# water-fill over everything: the BFS would cost more than it saves.
+# Up to this many classes, water-filling skips its level cache: the
+# bookkeeping would cost more than the divisions it saves.
 _SMALL_COMPONENT = 8
 
 
@@ -164,6 +151,7 @@ class Flow:
         self.src = src
         self.dst = dst
         self.size = float(size)
+        # Bytes left as of the last settle of the flow's route class.
         self.remaining = float(size)
         self.links = (src.egress, dst.ingress)
         self.done = done
@@ -213,10 +201,9 @@ class _FlowClass:
         # add/remove so sorting needs no per-class function call.
         self.order = 0
         self.mark = 0  # BFS visit epoch (see Network._component)
-        # Analytic-progress bookkeeping (unused in stepped mode): time of
-        # the last settle, min remaining / max finish_eps over members as
-        # of that settle, and the absolute completion time of the member
-        # that will finish first at the current rate.
+        # Time of the last settle, min remaining / max finish_eps over
+        # members as of that settle, and the absolute completion time of
+        # the member that will finish first at the current rate.
         self.since = 0.0
         self.least = _INF
         self.eps_max = 0.0
@@ -255,9 +242,6 @@ class NetworkConfig:
     # False forces full water-filling over every class at each flow
     # event — the reference the incremental allocator is tested against.
     incremental: bool = True
-    # "stepped" or "analytic" — see the module docstring.  Sharded runs
-    # require "analytic" (cadence-independent byte trajectories).
-    progress: str = "stepped"
     extra: dict = field(default_factory=dict)
 
 
@@ -267,12 +251,6 @@ class Network:
     def __init__(self, env: Environment, config: Optional[NetworkConfig] = None):
         self.env = env
         self.config = config or NetworkConfig()
-        if self.config.progress not in ("stepped", "analytic"):
-            raise SimulationError(
-                f"unknown progress mode {self.config.progress!r} "
-                "(expected 'stepped' or 'analytic')"
-            )
-        self._analytic = self.config.progress == "analytic"
         self._nics: dict[str, NIC] = {}
         # dict-as-ordered-set: iteration order (and with it the fair-share
         # float accumulation order) is start-order of the flows, identical
@@ -281,7 +259,6 @@ class Network:
         self._flows: dict[Flow, None] = {}
         self._classes: dict[tuple[_Link, _Link], _FlowClass] = {}
         self._flow_ids = itertools.count(1)
-        self._last_advance = env.now
         self._timer: Optional[Timeout] = None
         self._mark = 0  # BFS epoch for _component visited-stamps
         # Recycled _FlowClass shells: route churn (a class per short
@@ -376,8 +353,6 @@ class Network:
                 done, duration, src, dst, size, started, "message", tag
             )
             return done
-        if not self._analytic:
-            self._advance()
         flow = Flow(next(self._flow_ids), src, dst, size, done, started, tag)
         self._flows[flow] = None
         links = flow.links
@@ -390,23 +365,19 @@ class Network:
             else:
                 fclass = _FlowClass(links)
             fclass.order = flow.flow_id
-            if self._analytic:
-                fclass.since = started
-                fclass.finish_at = _INF
+            fclass.since = started
+            fclass.finish_at = _INF
             self._classes[links] = fclass
             for link in links:
                 link.classes[fclass] = None
-        elif self._analytic:
+        else:
             # Existing members advance at the pre-arrival rate before the
             # newcomer joins; the rebalance below re-settles with dt=0.
             self._settle_class(fclass, started)
         fclass.flows[flow] = None
         flow.fclass = fclass
         self.flow_count += 1
-        if self._analytic:
-            self._rebalance_analytic(links)
-        else:
-            self._rebalance(links)
+        self._rebalance(links)
         return done
 
     def message(self, src: NIC, dst: NIC, size: float = 1 * KB, tag: str = "") -> Event:
@@ -538,34 +509,8 @@ class Network:
         re-runs water-filling over the affected component, which is what
         a transient degradation window needs.
         """
-        if self._analytic:
-            nic.set_bandwidth(bandwidth)
-            self._rebalance_analytic((nic.egress, nic.ingress))
-            return
-        self._advance()
         nic.set_bandwidth(bandwidth)
         self._rebalance((nic.egress, nic.ingress))
-
-    def _advance(self) -> None:
-        """Progress all active flows up to the current time."""
-        dt = self.env.now - self._last_advance
-        self._last_advance = self.env.now
-        if dt <= 0:
-            return
-        for fclass in self._classes.values():
-            rate = fclass.rate
-            if rate <= 0.0:
-                continue  # remaining - 0.0 is exact: skipping changes nothing
-            shift = rate * dt
-            for flow in fclass.flows:
-                # Same value as max(0.0, remaining - shift), minus the call.
-                left = flow.remaining - shift
-                flow.remaining = left if left > 0.0 else 0.0
-
-    def _rebalance(self, changed: Iterable[_Link]) -> None:
-        """Re-run water-filling where ``changed`` links can matter, re-arm."""
-        self._allocate_rates(changed)
-        self._arm_timer()
 
     def _component(self, seeds: Iterable[_Link]) -> list[_FlowClass]:
         """Classes in the connected component(s) of the seed links.
@@ -597,10 +542,12 @@ class Network:
                         pending.append(other)
         return out
 
-    def _allocate_rates(self, changed: Iterable[_Link]) -> None:
-        """Max-min fair water-filling over the affected classes.
+    def _allocate_over(self, component: list[_FlowClass], from_bfs: bool) -> None:
+        """Max-min fair water-filling over ``component``.
 
-        Bit-for-bit equal to per-flow water-filling over all flows:
+        ``from_bfs`` says the classes come in BFS traversal order (from
+        :meth:`_component`) rather than registry order.  Bit-for-bit
+        equal to per-flow water-filling over all flows:
 
         - The allocation order (classes by oldest-flow id) reproduces
           the link first-encounter order of the per-flow loop, so the
@@ -614,23 +561,6 @@ class Network:
           of filtering all unfrozen classes) reorders nothing that
           float accumulation can observe.
         """
-        classes = self._classes
-        if not classes:
-            return
-        if self.config.incremental and len(classes) > _SMALL_COMPONENT:
-            component = self._component(changed)
-            from_bfs = True
-        else:
-            # Tiny working sets: component discovery costs more than it
-            # saves, and allocating over every class gives the same
-            # result (that is the component-independence invariant the
-            # incremental mode is built on).
-            component = list(classes.values())
-            from_bfs = False
-        self._allocate_over(component, from_bfs)
-
-    def _allocate_over(self, component: list[_FlowClass], from_bfs: bool) -> None:
-        """Water-fill over an already-discovered set of classes."""
         if not component:
             return
         if len(component) == 1:
@@ -750,46 +680,10 @@ class Network:
                 dead += 1
                 link_count[bottleneck] = 0
 
-    def _arm_timer(self) -> None:
-        """Schedule a wake-up at the earliest flow completion."""
-        timer = self._timer
-        if timer is not None:
-            # Superseded: drop it from ever running instead of letting a
-            # stale heap entry fire into a version check.
-            timer.cancel()
-            self._timer = None
-        soonest = _INF
-        for fclass in self._classes.values():
-            rate = fclass.rate
-            if rate > _EPS:
-                least = _INF
-                for flow in fclass.flows:
-                    remaining = flow.remaining
-                    if remaining < least:
-                        least = remaining
-                # Division is monotonic, so min(remaining)/rate equals
-                # min(remaining/rate) bit-for-bit: one divide per class.
-                time_left = least / rate
-                if time_left < soonest:
-                    soonest = time_left
-        if soonest == _INF:
-            return
-        timer = self.env.timeout(max(0.0, soonest))
-        timer.callbacks.append(self._on_timer)
-        self._timer = timer
-
-    def _on_timer(self, _: Event) -> None:
-        self._timer = None
-        self._advance()
-        finished = [f for f in self._flows if f.remaining <= f.finish_eps]
-        changed = self._retire_finished(finished)
-        self._rebalance(changed)
-
     def _retire_finished(self, finished: list[Flow]) -> Iterable[_Link]:
         """Remove completed flows, record them, fire their tail timers.
 
-        Returns the links whose components need rebalancing.  Shared by
-        the stepped and analytic completion paths.
+        Returns the links whose components need rebalancing.
         """
         for flow in finished:
             self._flows.pop(flow, None)
@@ -827,7 +721,6 @@ class Network:
                 touched[link] = None
         return tuple(touched)
 
-    # -- analytic progress mode ------------------------------------------
     def _settle_class(self, fclass: _FlowClass, now: float) -> None:
         """Advance one class's members to ``now`` at the current rate.
 
@@ -862,29 +755,42 @@ class Network:
         fclass.least = least
         fclass.eps_max = eps_max
 
-    def _rebalance_analytic(self, changed: Iterable[_Link]) -> None:
+    def _rebalance(self, changed: Iterable[_Link]) -> None:
         """Settle + water-fill the affected component, re-arm the timer.
 
-        Unlike the stepped path this always uses exact component
-        discovery (never the whole-registry shortcut): settling a class
-        at another component's event time would re-partition its float
-        subtractions and break shard/single equivalence.
+        Component discovery is always exact: settling a class at another
+        component's event time would re-partition its float subtractions
+        and break shard/single equivalence.  With ``incremental=False``
+        the water-filling still runs over every active class, as the
+        reference the component-local allocation is tested against.
         """
         component = self._component(changed)
-        if component:
-            now = self.env.now
-            for fclass in component:
-                self._settle_class(fclass, now)
+        now = self.env.now
+        for fclass in component:
+            self._settle_class(fclass, now)
+        if self.config.incremental:
             self._allocate_over(component, True)
-            for fclass in component:
-                rate = fclass.rate
-                if rate > _EPS:
-                    fclass.finish_at = now + fclass.least / rate
-                else:
-                    fclass.finish_at = _INF
-        self._arm_timer_analytic()
+            allocated = component
+        else:
+            allocated = list(self._classes.values())
+            self._allocate_over(allocated, False)
+        for fclass in allocated:
+            rate = fclass.rate
+            if rate > _EPS:
+                fclass.finish_at = fclass.since + fclass.least / rate
+            else:
+                fclass.finish_at = _INF
+        self._arm_timer()
 
-    def _arm_timer_analytic(self) -> None:
+    def _rebalance_analytic(self, changed: Iterable[_Link]) -> None:
+        """Former name of :meth:`_rebalance`; nothing in the package calls it.
+
+        Kept because ``perfbench/layers.py`` still names it among the
+        rebalance entry points whose profiler call counts it sums.
+        """
+        self._rebalance(changed)
+
+    def _arm_timer(self) -> None:
         """Re-arm the completion wake-up at the earliest ``finish_at``.
 
         The timer is scheduled at an *absolute* time, so the fire time
@@ -903,10 +809,10 @@ class Network:
             return
         now = self.env.now
         timer = self.env.schedule_at(soonest if soonest > now else now)
-        timer.callbacks.append(self._on_timer_analytic)
+        timer.callbacks.append(self._on_timer)
         self._timer = timer
 
-    def _on_timer_analytic(self, _: Event) -> None:
+    def _on_timer(self, _: Event) -> None:
         self._timer = None
         now = self.env.now
         finished: list[Flow] = []
@@ -922,7 +828,7 @@ class Network:
                     if flow.remaining <= flow.finish_eps:
                         finished.append(flow)
         changed = self._retire_finished(finished)
-        self._rebalance_analytic(changed)
+        self._rebalance(changed)
 
     # -- introspection -----------------------------------------------------
     @property

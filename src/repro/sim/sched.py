@@ -97,15 +97,6 @@ class Scheduler:
         """
         raise NotImplementedError
 
-    def pop_until(self, deadline: float) -> Optional[tuple]:
-        """Pop the minimum entry if its time is ``<= deadline``.
-
-        Returns ``None`` when the queue is empty or the head is beyond
-        the deadline — the one call per event the deadline-bounded run
-        loop needs.
-        """
-        raise NotImplementedError
-
     def peek(self) -> float:
         """Time of the next entry that will actually fire, or ``inf``.
 
@@ -161,12 +152,6 @@ class HeapScheduler(Scheduler):
         heap = self.heap
         if not heap:
             raise IndexError("pop from empty scheduler")
-        return heappop(heap)
-
-    def pop_until(self, deadline):
-        heap = self.heap
-        if not heap or heap[0][0] > deadline:
-            return None
         return heappop(heap)
 
     def peek(self):
@@ -460,15 +445,6 @@ class WheelScheduler(Scheduler):
             return heappop(near)
         return self._cur.pop()
 
-    def pop_until(self, deadline):
-        entry = self._head_entry()
-        if entry is None or entry[0] > deadline:
-            return None
-        near = self._near
-        if near and near[0] is entry:
-            return heappop(near)
-        return self._cur.pop()
-
     def peek(self):
         while True:
             entry = self._head_entry()
@@ -538,15 +514,16 @@ def make_scheduler(
 
     ``spec`` may be a name (``"heap"``/``"wheel"``), ``None`` (resolve
     the process default), or a callable ``factory(env) -> Scheduler``
-    for custom implementations.
+    that builds a configured heap or wheel (e.g. a custom wheel width).
+    The kernel inlines the dispatch loop of exactly these two types, so
+    a factory returning anything else is rejected.
     """
     if callable(spec):
         sched = spec(env)
-        for method in ("insert", "pop", "pop_until", "peek", "note_cancelled"):
-            if not callable(getattr(sched, method, None)):
-                raise SimulationError(
-                    f"scheduler factory {spec!r} returned {sched!r} "
-                    f"without a callable {method}()"
-                )
+        if type(sched) not in (HeapScheduler, WheelScheduler):
+            raise SimulationError(
+                f"scheduler factory {spec!r} returned {sched!r}, "
+                "not a HeapScheduler or WheelScheduler"
+            )
         return sched
     return SCHEDULERS[resolve_scheduler_name(spec)](env)

@@ -28,12 +28,12 @@ Two granularities are provided:
 
 - **Node-granular** network sharding (:func:`run_network_sharded`):
   NICs are partitioned across shards, each shard runs the fluid network
-  model in ``progress="analytic"`` mode (byte trajectories independent
-  of the global event cadence — see ``network.py``), and flows whose
+  model (whose byte trajectories are independent of the global event
+  cadence — see ``network.py``), and flows whose
   endpoints land in different shards are simulated source-side against
   a proxy NIC with their accounting shipped at barriers.  When the
   partition keeps traffic shard-local (the aligned case), merged
-  records are **bit-identical** to a single-process analytic run; when
+  records are **bit-identical** to a single-process run; when
   traffic crosses shards, the source shard sees only its own contention
   for the remote ingress link and results may diverge — the merge
   reports ``cross_flows`` / ``divergence_risk`` counters and
@@ -459,9 +459,7 @@ class _NetworkShardProgram:
     def __init__(self, env: Environment, api: ShardAPI, payload: dict):
         self.env = env
         self.api = api
-        net_kwargs = dict(payload.get("net_kwargs") or {})
-        net_kwargs["progress"] = "analytic"
-        self.net = Network(env, NetworkConfig(**net_kwargs))
+        self.net = Network(env, NetworkConfig(**(payload.get("net_kwargs") or {})))
         self.telemetry = None
         if payload.get("telemetry"):
             from ..obs.telemetry import MetricsRegistry
@@ -555,16 +553,14 @@ def run_network_single(
     telemetry: bool = False,
     scheduler: Optional[str] = None,
 ) -> dict:
-    """Single-environment analytic reference for a shardable plan.
+    """Single-environment reference for a shardable plan.
 
     Uses the same absolute-time scheduling as the sharded path, so a
     shard-aligned plan produces bit-identical records either way —
     under either kernel scheduler.
     """
     env = Environment(scheduler=scheduler)
-    kwargs = dict(net_kwargs or {})
-    kwargs["progress"] = "analytic"
-    net = Network(env, NetworkConfig(**kwargs))
+    net = Network(env, NetworkConfig(**(net_kwargs or {})))
     registry = None
     if telemetry:
         from ..obs.telemetry import MetricsRegistry
@@ -673,7 +669,7 @@ def run_network_sharded(
     node_to_shard = {
         name: index for index, part in enumerate(parts) for name in part
     }
-    cfg = NetworkConfig(**dict(net_kwargs or {}, progress="analytic"))
+    cfg = NetworkConfig(**(net_kwargs or {}))
     look = cfg.latency if lookahead is None else lookahead
     payloads = []
     for index, part in enumerate(parts):

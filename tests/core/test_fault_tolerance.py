@@ -7,6 +7,7 @@ from repro.clients import run_closed_loop
 from repro.core import (
     CancelCause,
     CancelKind,
+    DataflowSystem,
     EngineConfig,
     FaaSFlowSystem,
     FaultDriver,
@@ -408,7 +409,12 @@ class TestNodeCrashes:
         assert node.containers.node_failures == 1
         assert node.up  # recovered by the end of the run
 
-    def test_degradation_window_slows_but_never_kills(self):
+    @pytest.mark.parametrize(
+        "engine", ["master", "worker", "dataflow"], ids=["MSP", "WSP", "DSP"]
+    )
+    def test_degradation_window_slows_but_never_kills(self, engine):
+        """A brown-out over every NIC while bulk data is in flight: flows
+        re-share mid-transfer and slow down, no invocation fails."""
         env = Environment()
         cluster = Cluster(
             env,
@@ -418,15 +424,23 @@ class TestNodeCrashes:
         )
         from repro.workloads import build
 
-        dag = build("epigenomics")
-        system = FaaSFlowSystem(cluster, EngineConfig())
-        system.deploy(dag, hash_partition(dag, cluster.worker_names()))
-        plan = FaultPlan(
-            degradations=(
-                NetworkDegradation(start=0.5, duration=5.0, factor=0.2),
-            )
+        dag = build("genome")
+        placement = hash_partition(dag, cluster.worker_names())
+        config = EngineConfig(ship_data=True)
+        if engine == "master":
+            system = HyperFlowServerlessSystem(cluster, config)
+            system.register(dag, placement)
+        else:
+            system_class = FaaSFlowSystem if engine == "worker" else DataflowSystem
+            system = system_class(cluster, config)
+            system.deploy(dag, placement)
+        window = NetworkDegradation(start=0.5, duration=5.0, factor=0.2)
+        original = {
+            name: nic.bandwidth for name, nic in cluster.network.nics.items()
+        }
+        driver = FaultDriver(cluster, FaultPlan(degradations=(window,))).attach(
+            system
         )
-        driver = FaultDriver(cluster, plan).attach(system)
         driver.start()
         records = run_closed_loop(system, dag.name, 3)
         drain(env)
@@ -435,6 +449,21 @@ class TestNodeCrashes:
         # Bandwidths restored after the window.
         for worker in cluster.workers:
             assert worker.nic.bandwidth == cluster.config.worker.bandwidth
+        end = window.start + window.duration
+        overlapping = [
+            t
+            for t in cluster.network.records
+            if t.kind == "flow" and t.started_at < end and t.finished_at > window.start
+        ]
+        # Slower than the same bytes alone on the degraded bottleneck:
+        # contention alone, without the window, stays below that bound.
+        assert any(
+            t.duration
+            > t.size / (window.factor * min(original[t.src], original[t.dst]))
+            for t in overlapping
+        )
+        # Some flows are still in flight when the restore re-shares them.
+        assert any(t.finished_at > end for t in overlapping)
 
 
 class TestBackoffIntegration:

@@ -36,7 +36,7 @@ def _abs_plan(nodes, flows, seed):
     plan = make_plan(nodes, flows, seed=seed)
     names = [f"n{i}" for i in range(nodes)]
     return (
-        [(at, f"n{s}", f"n{d}", size) for _gap, at, s, d, size in plan],
+        [(at, f"n{s}", f"n{d}", size) for at, s, d, size in plan],
         names,
     )
 
@@ -387,7 +387,7 @@ class TestSelection:
         assert fired == [1]
 
     def test_factory_missing_methods_rejected(self):
-        with pytest.raises(SimulationError, match="without a callable"):
+        with pytest.raises(SimulationError, match="not a HeapScheduler or WheelScheduler"):
             Environment(scheduler=lambda e: object())
 
     def test_registry_names(self):

@@ -1,7 +1,7 @@
 """Conservative shard runtime: protocol, partitioning, and exactness.
 
 The network exactness tests drive the same absolute-time transfer plan
-through one analytic environment and through S shard environments under
+through one environment and through S shard environments under
 the barrier protocol, and require the merged records to be
 bit-identical.  The relay tests exercise the reactive path — messages
 crossing shards mid-run through conservative windows — and pin hop
@@ -31,7 +31,7 @@ def _abs_plan(nodes: int, flows: int, seed: int):
     plan = make_plan(nodes, flows, seed=seed)
     names = [f"n{i}" for i in range(nodes)]
     return (
-        [(at, f"n{s}", f"n{d}", size) for _gap, at, s, d, size in plan],
+        [(at, f"n{s}", f"n{d}", size) for at, s, d, size in plan],
         names,
     )
 
@@ -119,7 +119,7 @@ class TestCoordinatorValidation:
 
 class TestAlignedNetworkExactness:
     """Partition aligned on traffic-group boundaries: zero cross-shard
-    flows, merged records bit-identical to the single analytic run."""
+    flows, merged records bit-identical to the single-process run."""
 
     @pytest.mark.parametrize("seed", [11, 29, 97])
     @pytest.mark.parametrize("shards", [2, 4, 8])

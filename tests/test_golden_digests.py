@@ -13,8 +13,8 @@ of any simulated timestamp changes the digest.  One digest per cell is
 committed in ``golden_digests.json``, and every variant of a cell must
 hash to it: the heap and the wheel kernel schedulers, and one and two
 shards.  Engine cells shard at cell granularity (as ``--shards`` runs
-them: cells spread over worker processes); the analytic network cell
-also runs with its NICs partitioned over two shards.
+them: cells spread over worker processes); the network cell also runs
+with its NICs partitioned over two shards.
 
 A change that alters simulated behaviour on purpose regenerates the file
 and says why in its commit::
@@ -48,7 +48,7 @@ from repro.experiments.common import (
     make_dataflow,
     make_faasflow,
 )
-from repro.experiments.fig_scale import drive_network, drive_network_sharded
+from repro.experiments.fig_scale import drive_network_sharded
 from repro.obs.telemetry import MetricsRegistry
 from repro.parallel import ParallelRunner
 from repro.sim import MB, Cluster, ClusterConfig, ContainerSpec, Environment
@@ -221,15 +221,7 @@ def _network_digest(out: dict) -> str:
     return _digest([_line(out["sim_makespan"])], transfers, out["telemetry"])
 
 
-def _network_stepped_cell() -> str:
-    return _network_digest(
-        drive_network(
-            _NETWORK_NODES, _NETWORK_FLOWS, collect_records=True, telemetry=True
-        )
-    )
-
-
-def _network_analytic_cell(shards: int) -> str:
+def _network_cell(shards: int) -> str:
     return _network_digest(
         drive_network_sharded(
             _NETWORK_NODES, _NETWORK_FLOWS, shards,
@@ -248,10 +240,8 @@ def cell_digest(name: str, shards: int = 1) -> str:
         return _genome_cell(variant)
     if kind == "crash":
         return _crash_cell(variant)
-    if name == "network/stepped":
-        return _network_stepped_cell()
     if name == "network/analytic":
-        return _network_analytic_cell(shards)
+        return _network_cell(shards)
     raise KeyError(name)
 
 
@@ -263,7 +253,6 @@ CELLS = (
     ),
     *(f"genome/{engine}" for engine in ENGINES),
     *(f"crash/{engine}" for engine in ENGINES),
-    "network/stepped",
     "network/analytic",
 )
 

@@ -49,7 +49,7 @@ class TestNetworkShardTelemetry:
         )
         names = [f"n{i}" for i in range(self.NODES)]
         abs_plan = [
-            (at, f"n{s}", f"n{d}", size) for _gap, at, s, d, size in plan
+            (at, f"n{s}", f"n{d}", size) for at, s, d, size in plan
         ]
         return abs_plan, names
 
