@@ -913,14 +913,22 @@ class FaaSFlowSystem:
         node: str = "",
         name: str = "",
     ):
-        """Spawn a process and track it for cancellation.
+        """Spawn a process, track it for cancellation, and start it.
 
         ``node`` binds the process to a worker so node crashes kill it;
         processes left unbound (in-flight messages) die only with their
         invocation.
+
+        The first segment runs right here instead of through a bootstrap
+        hop, so it runs ahead of same-instant work already queued.  That
+        keeps event order because every spawn site is the last action
+        of a yield-free section, siblings keep their spawn order, and
+        first segments mostly arm timers at future instants.
         """
-        process = self.env.process(generator, name=name)
+        env = self.env
+        process = env._new_process(generator, name)
         self.registry.register(process, invocation_id, node=node)
+        env._start_now(process)
         return process
 
     # -- deployment ---------------------------------------------------------

@@ -18,6 +18,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 from ..obs.spans import NULL_SPANS, SpanKind
@@ -98,6 +99,8 @@ class Container:
         self._memory_handle = memory_handle
         # Pending keep-alive timer while idle; cancelled on reuse/destroy.
         self._expiry_timer: Optional[Timeout] = None
+        # Bound once: every release re-arms the timer with this callback.
+        self._on_expiry = partial(pool._expire, self)
 
     @property
     def node_name(self) -> str:
@@ -245,7 +248,10 @@ class ContainerPool:
                     function=function, lifecycle="warm-reuse",
                     container=container.container_id,
                 )
-            event.succeed(container)
+            # The acquiring process yields this at once: hand it over in
+            # place when the queued grant would be the next dispatch.
+            if not self.env._settle_in_place(event, container):
+                event.succeed(container)
             return event
         if self._can_cold_start(function):
             self._cold_start(function, version, event)
@@ -527,14 +533,14 @@ class ContainerPool:
     def _schedule_expiry(self, container: Container) -> None:
         self._cancel_expiry(container)
         timer = self.env.timeout(self.spec.keepalive)
-
-        def _expire(_: Event) -> None:
-            container._expiry_timer = None
-            if container.state == ContainerState.IDLE:
-                idle = self._idle.get(container.function)
-                if idle and container in idle:
-                    idle.remove(container)
-                self._destroy(container)
-
-        timer.callbacks.append(_expire)
+        timer.callbacks.append(container._on_expiry)
         container._expiry_timer = timer
+
+    def _expire(self, container: Container, _: Event) -> None:
+        """Keep-alive ran out: evict ``container`` if it is still idle."""
+        container._expiry_timer = None
+        if container.state == ContainerState.IDLE:
+            idle = self._idle.get(container.function)
+            if idle and container in idle:
+                idle.remove(container)
+            self._destroy(container)

@@ -141,8 +141,20 @@ class Event:
     def _process_callbacks(self) -> None:
         self._state = PROCESSED
         callbacks, self.callbacks = self.callbacks, []
+        if len(callbacks) < 2:
+            if callbacks:
+                callbacks[0](self)
+            return
+        # Only the last callback may continue a process in place (see
+        # Environment._can_continue): the earlier ones still have
+        # siblings to run after them.
+        env = self.env
+        last = callbacks.pop()
+        env._tail = False
         for callback in callbacks:
             callback(self)
+        env._tail = True
+        last(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {PENDING: "pending", TRIGGERED: "triggered", PROCESSED: "processed"}
@@ -226,7 +238,8 @@ class _Resume:
 
     The kernel schedules these wherever it used to allocate a throwaway
     trampoline :class:`Event` (process bootstrap, resuming a process that
-    yielded an already-processed event, interrupt delivery).  A ``_Resume``
+    yielded an already-processed event when it cannot continue in place,
+    interrupt delivery).  A ``_Resume``
     never escapes the kernel, so ``step()`` recycles it through a
     per-environment free-list.  It quacks like a triggered event for the
     one consumer it has: ``Process._resume`` reads ``ok`` and ``_value``.
@@ -241,6 +254,11 @@ class _Resume:
 
     def _process_callbacks(self) -> None:
         self._callback(self)
+
+
+# The value a process's first segment receives when it starts at once
+# (``Environment._start_now``): never queued, never recycled.
+_START = _Resume(None, True, None)
 
 
 class _ConditionValue(dict):
@@ -359,14 +377,19 @@ class Process(Event):
         generator: Generator[Event, Any, Any],
         name: str = "",
     ):
+        self._bind(env, generator, name)
+        # Kick off the process at the current simulation time.
+        env._schedule_resume(self._resume, True, None)
+
+    def _bind(
+        self, env: "Environment", generator: Generator[Event, Any, Any], name: str
+    ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        Event.__init__(self, env)
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        # Kick off the process at the current simulation time.
-        env._schedule_resume(self._resume, True, None)
 
     @property
     def is_alive(self) -> bool:
@@ -394,49 +417,65 @@ class Process(Event):
             # event; dropping the delivery is the correct semantics.
             return
         env = self.env
-        env._active_process = self
         self._target = None
-        try:
-            if event.ok:
-                next_target = self._generator.send(event._value)
-            else:
-                next_target = self._generator.throw(event._value)
-        except StopIteration as stop:
+        ok = event.ok
+        value = event._value
+        # A loop, not recursion: each pass is one segment, and a yield
+        # of an already-processed event continues here when the kernel
+        # proves the hop through the queue would be the very next
+        # dispatch anyway (see Environment._can_continue).
+        while True:
+            env._active_process = self
+            env._settled = None
+            try:
+                if ok:
+                    next_target = self._generator.send(value)
+                else:
+                    next_target = self._generator.throw(value)
+            except StopIteration as stop:
+                env._active_process = None
+                self._exit(True, stop.value)
+                return
+            except StopProcess as stop:
+                env._active_process = None
+                self._generator.close()
+                self._exit(True, stop.value)
+                return
+            except Interrupt:
+                # The process let an interrupt escape: treat as normal exit.
+                env._active_process = None
+                self._exit(True, None)
+                return
+            except BaseException as error:
+                env._active_process = None
+                if not self.callbacks:
+                    # Nobody is waiting for this process; surface the crash.
+                    env._crashed.append((self, error))
+                self._exit(False, error)
+                return
             env._active_process = None
-            self._exit(True, stop.value)
-            return
-        except StopProcess as stop:
-            env._active_process = None
-            self._generator.close()
-            self._exit(True, stop.value)
-            return
-        except Interrupt:
-            # The process let an interrupt escape: treat as normal exit.
-            env._active_process = None
-            self._exit(True, None)
-            return
-        except BaseException as error:
-            env._active_process = None
-            if not self.callbacks:
-                # Nobody is waiting for this process; surface the crash.
-                env._crashed.append((self, error))
-            self._exit(False, error)
-            return
-        env._active_process = None
-        if not isinstance(next_target, Event):
-            raise SimulationError(
-                f"process {self.name!r} yielded {next_target!r}, "
-                "which is not an Event"
-            )
-        if next_target._state == PROCESSED:
-            # The event already fired; resume immediately (same timestep)
-            # through a pooled _Resume instead of a trampoline Event.
-            env._schedule_resume(
-                self._resume, next_target._ok, next_target._value
-            )
-        else:
-            self._target = next_target
-            next_target.callbacks.append(self._resume)
+            if not isinstance(next_target, Event):
+                raise SimulationError(
+                    f"process {self.name!r} yielded {next_target!r}, "
+                    "which is not an Event"
+                )
+            if next_target._state != PROCESSED:
+                self._target = next_target
+                next_target.callbacks.append(self._resume)
+                return
+            # An event settled in place during this very segment stands
+            # for a queued grant that would have been the first entry
+            # at this instant, so continuing is exact even if the
+            # segment queued more same-instant work after asking for it.
+            if next_target is not env._settled and not env._can_continue():
+                # The event already fired; resume in the same timestep
+                # through a pooled _Resume instead of a trampoline Event.
+                env._schedule_resume(
+                    self._resume, next_target._ok, next_target._value
+                )
+                return
+            ok = next_target._ok
+            value = next_target._value
 
     def _exit(self, ok: bool, value: Any) -> None:
         """Trigger the process's own event with its outcome.
@@ -444,8 +483,8 @@ class Process(Event):
         With no waiters yet, the completion is marked processed in
         place instead of going through the queue: there are no
         callbacks to run, dropping a queue entry never reorders the
-        others, and a later ``yield`` on the process resumes through
-        ``_schedule_resume`` in the same timestep.
+        others, and a later ``yield`` on the process resumes in the
+        same timestep like any yield of a processed event.
         """
         if self.callbacks:
             if ok:
@@ -481,6 +520,9 @@ class Environment:
         "_timeout_pool",
         "_resume_pool",
         "_cancelled_timers",
+        "_tail",
+        "_stop",
+        "_settled",
     )
 
     def __init__(self, initial_time: float = 0.0, scheduler=None):
@@ -506,6 +548,13 @@ class Environment:
         # _Resume entries (never escape, always recycled).
         self._timeout_pool: list[Timeout] = []
         self._resume_pool: list[_Resume] = []
+        # In-place continuation state (see _can_continue): whether the
+        # running callback is the last one of the event being
+        # dispatched, the event ``run(until=event)`` stops on, and the
+        # event settled in place during the current process segment.
+        self._tail = True
+        self._stop: Optional[Event] = None
+        self._settled: Optional[Event] = None
 
     # -- clock -------------------------------------------------------
     @property
@@ -640,6 +689,90 @@ class Environment:
         else:
             self._sched_insert(self._now, self._eid, entry)
 
+    def _can_continue(self) -> bool:
+        """Whether a continuation may run in place instead of hopping.
+
+        A hop through the queue at the current instant may be skipped
+        only when it would be the very next dispatch, which takes three
+        things:
+
+        (a) nothing is queued at the current instant (the head of the
+            queue lies in the future; a cancelled timer at the head
+            counts as queued, which only makes the answer conservative);
+        (b) the running callback is the last callback of the event
+            being dispatched;
+        (c) the event being dispatched is not the one ``run(until=...)``
+            stops on, so the continuation cannot run past the return.
+
+        This is the one guard every in-place site asks: a process
+        yielding an already-processed event (``Process._resume``) and
+        an event settled in place (``_settle_in_place``).
+        """
+        if not self._tail:
+            return False
+        stop = self._stop
+        if stop is not None and stop._state == PROCESSED:
+            return False
+        now = self._now
+        queue = self._queue
+        if queue is not None:
+            return not queue or queue[0][0] > now
+        sched = self._sched
+        near = sched._near
+        cur = sched._cur
+        return not (near and near[0][0] <= now) and not (cur and cur[-1][0] <= now)
+
+    def _settle_in_place(self, event: Event, value: Any) -> bool:
+        """Mark a fresh, callback-free ``event`` processed with ``value``.
+
+        The in-place form of ``event.succeed(value)`` for an event the
+        running process is about to yield: instead of a queue entry that
+        the dispatch loop would pop straight back, the event is
+        processed now and the process continues past its ``yield``.
+        Returns False, leaving the event untouched, when no process is
+        running or :meth:`_can_continue` refuses; the caller then
+        succeeds it through the queue as before.  Callbacks appended to
+        the event afterwards never run, so only sites whose waiter is
+        the running process use this.
+        """
+        if self._active_process is None or not self._can_continue():
+            return False
+        event._ok = True
+        event._value = value
+        event._state = PROCESSED
+        self._settled = event
+        return True
+
+    def _new_process(
+        self, generator: Generator[Event, Any, Any], name: str = ""
+    ) -> Process:
+        """A process that has not started: no bootstrap is queued.
+
+        Start it with :meth:`_start_now`.
+        """
+        process = Process.__new__(Process)
+        process._bind(self, generator, name)
+        return process
+
+    def _start_now(self, process: Process) -> None:
+        """Run the first segment of an unstarted process right here.
+
+        The caller's process (if any) stays the active one afterwards.
+        Unlike the bootstrap hop of :meth:`process`, the segment runs
+        ahead of same-instant work already queued, so this is only for
+        spawns that are the last action of a yield-free section.  The
+        segment asks :meth:`_can_continue` in the spawner's context, so
+        it goes on in place only while nothing is queued at this
+        instant.
+        """
+        active = self._active_process
+        settled = self._settled
+        try:
+            process._resume(_START)
+        finally:
+            self._active_process = active
+            self._settled = settled
+
     def _note_cancelled_timer(self) -> None:
         """Bookkeeping hook for :meth:`Timeout.cancel`.
 
@@ -748,6 +881,10 @@ class Environment:
         (including the final ``now`` after a full drain) is identical
         under every scheduler and independent of compaction timing.
         """
+        # A callback or crash that raised out of an earlier run may have
+        # left the in-place state of its dispatch behind.
+        self._tail = True
+        self._stop = None
         queue = self._queue
         if queue is None:
             return self._run_wheel(until)
@@ -765,6 +902,9 @@ class Environment:
                 # run() is a waiter: a failure of the awaited event is
                 # handled (re-raised below), not an unhandled crash.
                 stop_event.callbacks.append(lambda _event: None)
+            # Nothing continues in place while the stop event dispatches
+            # (see _can_continue): that work belongs after the return.
+            self._stop = stop_event
             while stop_event._state != PROCESSED:
                 if not queue:
                     raise SimulationError(
@@ -801,6 +941,7 @@ class Environment:
                     and _getrefcount(event) == 2  # loop local + getrefcount arg
                 ):
                     timeout_pool.append(event)
+            self._stop = None
             if stop_event.ok:
                 return stop_event._value
             raise stop_event._value
@@ -869,6 +1010,7 @@ class Environment:
             stop_event = until
             if not stop_event.processed:
                 stop_event.callbacks.append(lambda _event: None)
+            self._stop = stop_event
             while stop_event._state != PROCESSED:
                 # Head select: tail of the sorted active bucket unless
                 # the near heap holds something earlier.  No lingering
@@ -917,6 +1059,7 @@ class Environment:
                     and _getrefcount(event) == 2  # loop local + getrefcount arg
                 ):
                     timeout_pool.append(event)
+            self._stop = None
             if stop_event.ok:
                 return stop_event._value
             raise stop_event._value

@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ..obs.spans import NULL_SPANS, SpanKind
 from ..obs.telemetry import NULL_TELEMETRY
@@ -213,9 +213,12 @@ class _FlowClass:
 _CLASS_ORDER = attrgetter("order")
 
 
-@dataclass(frozen=True)
-class TransferRecord:
-    """Ledger entry for one completed transfer (bulk or message)."""
+class TransferRecord(NamedTuple):
+    """Ledger entry for one completed transfer (bulk or message).
+
+    Immutable, and a tuple: one is built per transfer, so it stays as
+    small and cheap to construct as a record can be.
+    """
 
     src: str
     dst: str

@@ -94,7 +94,11 @@ class CPUAllocator:
     def request(self, cores: int = 1):
         """Event granting ``cores`` cores; pair with :meth:`release`."""
         req = self._resource.request(cores)
-        req.callbacks.append(lambda _: self.usage.add(cores))
+        if req.processed:
+            # Granted in place: there is no grant dispatch to credit at.
+            self.usage.add(cores)
+        else:
+            req.callbacks.append(lambda _: self.usage.add(cores))
         return req
 
     def release(self, request) -> None:

@@ -81,7 +81,9 @@ class RemoteKVStore:
         if size < 0:
             raise SimulationError(f"negative object size {size}")
         done = self.env.event()
-        slot = self._slots.request()
+        # Queued, never granted in place: the slot is waited on through
+        # the callback below, not by a yielding process.
+        slot = self._slots._queued_request()
 
         def _start(_: Event) -> None:
             transfer = self.network.transfer(
@@ -113,7 +115,7 @@ class RemoteKVStore:
             return done
         size = self._data[key]
         done = self.env.event()
-        slot = self._slots.request()
+        slot = self._slots._queued_request()
 
         def _start(_: Event) -> None:
             op = self.env.timeout(self.op_latency)

@@ -28,14 +28,21 @@ class _Request(Event):
         with resource.request() as req:
             yield req
             ...
+
+    ``granted`` is True from the grant until the release.
     """
 
-    __slots__ = ("resource", "amount")
+    __slots__ = ("resource", "amount", "granted")
 
     def __init__(self, resource: "Resource", amount: int):
+        if amount < 1 or amount > resource.capacity:
+            raise SimulationError(
+                f"request of {amount} outside [1, {resource.capacity}]"
+            )
         super().__init__(resource.env)
         self.resource = resource
         self.amount = amount
+        self.granted = False
 
     def __enter__(self) -> "_Request":
         return self
@@ -62,7 +69,6 @@ class Resource:
         self.capacity = capacity
         self._in_use = 0
         self._waiting: deque[_Request] = deque()
-        self._granted: set[int] = set()
 
     @property
     def in_use(self) -> int:
@@ -77,11 +83,34 @@ class Resource:
         return len(self._waiting)
 
     def request(self, amount: int = 1) -> _Request:
-        """Return an event that fires when ``amount`` slots are granted."""
-        if amount < 1 or amount > self.capacity:
-            raise SimulationError(
-                f"request of {amount} outside [1, {self.capacity}]"
-            )
+        """Return an event that fires when ``amount`` slots are granted.
+
+        Asked from a running process while a slot is free and nobody
+        waits, the request may come back already granted and processed
+        (an in-place grant, ``Environment._settle_in_place``) when its
+        queued grant would have been the very next dispatch.  Yield it
+        as usual; callbacks appended to it would never run, which is why
+        callback-style waiters use :meth:`_queued_request`.
+        """
+        req = _Request(self, amount)
+        if (
+            not self._waiting
+            and self._in_use + amount <= self.capacity
+            and self.env._settle_in_place(req, req)
+        ):
+            self._in_use += amount
+            req.granted = True
+            return req
+        self._waiting.append(req)
+        self._grant()
+        return req
+
+    def _queued_request(self, amount: int = 1) -> _Request:
+        """:meth:`request` that always grants through the queue.
+
+        For waiters that attach callbacks to the request instead of
+        yielding it.
+        """
         req = _Request(self, amount)
         self._waiting.append(req)
         self._grant()
@@ -89,12 +118,15 @@ class Resource:
 
     def holds(self, request: _Request) -> bool:
         """Whether ``request`` has been granted and not yet released."""
-        return id(request) in self._granted
+        return request.granted and request.resource is self
 
     def release(self, request: _Request) -> None:
-        """Return the slots held by ``request`` (idempotent)."""
-        if id(request) in self._granted:
-            self._granted.remove(id(request))
+        """Return the slots held by ``request`` (idempotent).
+
+        An ungranted request is withdrawn from the queue instead.
+        """
+        if request.granted and request.resource is self:
+            request.granted = False
             self._in_use -= request.amount
             self._grant()
         else:
@@ -113,7 +145,7 @@ class Resource:
                 break
             self._waiting.popleft()
             self._in_use += head.amount
-            self._granted.add(id(head))
+            head.granted = True
             head.succeed(head)
 
 

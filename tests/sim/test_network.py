@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import Environment
-from repro.sim.network import KB, MB, Network, NetworkConfig, SimulationError
+from repro.sim.network import (
+    KB,
+    MB,
+    Network,
+    NetworkConfig,
+    SimulationError,
+    TransferRecord,
+)
 
 
 def make_net(latency=0.0, threshold=0.0):
@@ -229,6 +236,20 @@ class TestRecords:
         assert record.size == 5 * MB
         assert record.tag == "edge:f1->f2"
         assert record.duration == pytest.approx(0.5, rel=1e-6)
+
+    def test_record_is_immutable(self):
+        record = TransferRecord(
+            src="a", dst="b", size=1.0, started_at=1.0, finished_at=3.5,
+            kind="message",
+        )
+        with pytest.raises(AttributeError):
+            record.src = "c"
+        with pytest.raises(AttributeError):
+            record.finished_at = 0.0
+        assert record.tag == ""
+        assert record.duration == 2.5
+        # Positional rebuild, as shard ingestion does.
+        assert TransferRecord(*tuple(record)) == record
 
     def test_bytes_between(self):
         env, net = make_net()

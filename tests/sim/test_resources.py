@@ -104,6 +104,27 @@ class TestCPUAllocator:
         env.run()
         assert done == [("a", 2.0), ("b", 4.0)]
 
+    def test_cancel_releases_a_granted_request(self, env):
+        cpu = CPUAllocator(env, cores=1)
+        req = cpu.request()
+        env.run()
+        assert cpu.busy == 1 and cpu.usage.value == 1
+        cpu.cancel(req)
+        assert cpu.busy == 0 and cpu.usage.value == 0
+
+    def test_cancel_withdraws_an_ungranted_request(self, env):
+        cpu = CPUAllocator(env, cores=1)
+        held = cpu.request()
+        waiting = cpu.request()
+        env.run()
+        cpu.cancel(waiting)
+        # The usage integral is untouched: only grants credit it.
+        assert cpu.busy == 1 and cpu.usage.value == 1
+        assert cpu.queue_length == 0
+        cpu.release(held)
+        env.run()
+        assert cpu.busy == 0 and cpu.usage.value == 0
+
     def test_average_usage_integrates(self, env):
         cpu = CPUAllocator(env, cores=4)
 

@@ -99,6 +99,32 @@ class TestResource:
         env.run()
         assert res.in_use == 0
 
+    def test_holds_tracks_grant_and_release(self, env):
+        res = Resource(env, capacity=1)
+        other = Resource(env, capacity=1)
+        first = res.request()
+        second = res.request()
+        assert res.holds(first)
+        assert not res.holds(second)
+        assert not other.holds(first)
+        res.release(first)
+        assert not res.holds(first)
+        assert res.holds(second)
+        assert res.in_use == 1
+
+    def test_release_of_ungranted_request_withdraws_it(self, env):
+        res = Resource(env, capacity=1)
+        held = res.request()
+        waiting = res.request()
+        res.release(waiting)
+        assert res.queue_length == 0
+        assert res.in_use == 1
+        assert not res.holds(waiting)
+        res.release(held)
+        # The withdrawn request is never granted afterwards.
+        assert res.in_use == 0
+        assert not res.holds(waiting)
+
     def test_queue_length(self, env):
         res = Resource(env, capacity=1)
         res.request()
