@@ -84,8 +84,8 @@ def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
     # Merge contract first: cells sharded at S=2 must merge to the exact
     # snapshot the serial layout produces.  A failure here means the
     # overhead number would be measuring a broken subsystem.
-    serial = run_workflow_cells(on_cells, shards=1)
-    sharded = run_workflow_cells(on_cells, shards=2)
+    serial = run_workflow_cells(on_cells, jobs=1)
+    sharded = run_workflow_cells(on_cells, jobs=2)
     merged_serial = merge_snapshots([r["telemetry"] for r in serial])
     merged_sharded = merge_snapshots([r["telemetry"] for r in sharded])
     if _canon(merged_sharded) != _canon(merged_serial):
@@ -95,10 +95,10 @@ def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
     series = len(merged_serial["metrics"])
 
     off_wall = _best_of(
-        lambda: run_workflow_cells(off_cells, shards=1), rounds
+        lambda: run_workflow_cells(off_cells, jobs=1), rounds
     )
     on_wall = _best_of(
-        lambda: run_workflow_cells(on_cells, shards=1), rounds
+        lambda: run_workflow_cells(on_cells, jobs=1), rounds
     )
     return {
         "invocations_per_cell": invocations,

@@ -184,10 +184,7 @@ def assert_bit_identity(quick: bool) -> dict:
     abs_plan = [(at, f"n{s}", f"n{d}", z) for at, s, d, z in plan]
     names = [f"n{i}" for i in range(nodes)]
     reference = run_network_single(abs_plan, names, scheduler="heap")
-    sharded = run_network_sharded(
-        abs_plan, names, 2, group_size=8, processes=False, strict=True,
-        scheduler="wheel",
-    )
+    sharded = run_network_sharded(abs_plan, names, 2, scheduler="wheel")
     assert sharded["records"] == reference["records"], (
         "sharded wheel records diverged from single-process heap run"
     )

@@ -106,8 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="run shard-aware experiments (fig_scale) on N conservatively-"
-        "synchronized shard processes; others ignore this flag",
+        help="run shard-aware experiments (fig_scale) as up to N traffic "
+        "cells in separate processes; others ignore this flag",
     )
     parser.add_argument(
         "--csv",

@@ -80,19 +80,17 @@ def drive_network_sharded(
     group_size: int = 8,
     hotspot_fraction: float = 0.3,
     bandwidth: float = 100 * MB,
-    processes: bool = True,
-    strict: bool = True,
     collect_records: bool = False,
     telemetry: bool = False,
 ) -> dict:
-    """Run one sweep cell on ``shards`` conservatively-synchronized shards.
+    """Run one sweep cell as up to ``shards`` traffic cells.
 
     Executes the :func:`make_plan` arrival plan through
-    ``repro.sim.shard``; ``shards=1`` is one single-process environment.
-    The default partition keeps each ``group_size`` traffic group whole,
-    so no flow crosses a shard boundary and records come out
-    bit-identical to a single-process run (``strict=True`` enforces
-    exactly that).
+    ``repro.sim.shard``: the plan's ``group_size`` traffic groups never
+    exchange bytes, so they pack into ``min(shards, groups)`` cells that
+    run in separate processes, and the merged records are bit-identical
+    to a single-process run.  ``shards=1`` is one single-process
+    environment.
     """
     from ..sim.shard import run_network_sharded
 
@@ -104,19 +102,9 @@ def drive_network_sharded(
     abs_plan = [
         (at, f"n{src}", f"n{dst}", size) for at, src, dst, size in plan
     ]
-    group_size = min(group_size, nodes)
-    n_groups = -(-nodes // group_size)
-    shards = min(shards, n_groups)  # a group can never straddle shards
     start = time.perf_counter()
     result = run_network_sharded(
-        abs_plan,
-        names,
-        shards,
-        bandwidth=bandwidth,
-        group_size=group_size,
-        processes=processes,
-        strict=strict,
-        telemetry=telemetry,
+        abs_plan, names, shards, bandwidth=bandwidth, telemetry=telemetry
     )
     wall = time.perf_counter() - start
     events = 2 * flows
@@ -127,10 +115,8 @@ def drive_network_sharded(
         "wall_seconds": wall,
         "events_per_sec": events / wall if wall > 0 else float("inf"),
         "sim_makespan": result["makespan"],
-        "shards": result["shards"],
-        "rounds": result["rounds"],
-        "cross_flows": result["cross_flows"],
-        "backend": result["backend"],
+        "shards": shards,
+        "cells": result["cells"],
     }
     if collect_records:
         out["records"] = result["records"]
@@ -161,10 +147,10 @@ def run(
     ]
     telemetry = telemetry_out is not None
     if shards > 1:
-        # Shard workers provide the parallelism inside each cell, so the
-        # cells themselves run serially regardless of --jobs.  With
-        # telemetry on, each shard collects its own registry and the
-        # snapshots merge at drain (value-identical to shards=1).
+        # Traffic cells provide the parallelism inside each sweep cell,
+        # so the sweep cells themselves run serially regardless of
+        # --jobs.  With telemetry on, each traffic cell collects its own
+        # registry and the snapshots merge (value-identical to shards=1).
         results = [
             drive_network_sharded(n, f, shards, seed=s, telemetry=telemetry)
             for n, f, s in cells
@@ -201,7 +187,7 @@ def run(
             round(stats["sim_makespan"], 3),
         ]
         if shards > 1:
-            row += [stats["shards"], stats["rounds"]]
+            row += [stats["shards"], stats["cells"]]
         rows.append(row)
     headers = [
         "nodes",
@@ -211,7 +197,7 @@ def run(
         "sim makespan (s)",
     ]
     if shards > 1:
-        headers += ["shards", "rounds"]
+        headers += ["shards", "cells"]
     return ExperimentResult(
         experiment="fig_scale",
         title="Fluid network model throughput vs cluster size x concurrent flows",
@@ -223,9 +209,9 @@ def run(
         ]
         + (
             [
-                "sharded cells use conservative windows; records are "
-                "bit-identical to a single-process run (strict partition "
-                "alignment)"
+                "sharded cells split the plan into traffic groups that "
+                "share no flows; records are bit-identical to a "
+                "single-process run"
             ]
             if shards > 1
             else []

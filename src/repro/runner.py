@@ -30,7 +30,7 @@ from .core import (
     Tracer,
     hash_partition,
 )
-from .parallel import ParallelRunner, add_jobs_argument, derive_seed
+from .parallel import add_jobs_argument, derive_seed
 from .sim import Cluster, ClusterConfig, Environment, MB
 from .wdl import WDLError, load_workflow
 from .workloads import ALL_BENCHMARKS, build
@@ -48,17 +48,31 @@ class RunSummary(dict):
             raise AttributeError(name) from None
 
 
-def _load_dag(source: str):
+def _load_dag(source):
+    """Resolve a workflow source to a DAG.
+
+    ``source`` is a WDL path (tried first), a benchmark name or
+    abbreviation, or a ``(builder, kwargs)`` tuple naming a
+    ``repro.workloads.synthetic`` builder.  An unknown source raises
+    ``ValueError``, which crosses a process pool as a task error.
+    """
+    if isinstance(source, (tuple, list)):
+        from .workloads import synthetic
+
+        builder = getattr(synthetic, source[0], None)
+        if builder is None:
+            raise ValueError(f"unknown synthetic builder {source[0]!r}")
+        return builder(**(dict(source[1]) if len(source) > 1 else {}))
     path = Path(source)
     if path.exists():
         return load_workflow(path)
     try:
         return build(source)
     except KeyError:
-        raise SystemExit(
-            f"error: {source!r} is neither a readable WDL file nor a "
+        raise ValueError(
+            f"{source!r} is neither a readable WDL file nor a "
             f"benchmark name (choose from {ALL_BENCHMARKS})"
-        )
+        ) from None
 
 
 def run_workflow(
@@ -249,66 +263,35 @@ _SCALAR_FIELDS = (
 )
 
 
-def _trial_task(payload: tuple) -> dict:
-    """Run one independent trial in a (possibly pooled) worker."""
-    source, seed, kwargs = payload
-    summary = run_workflow(_load_dag(source), seed=seed, **kwargs)
-    result = {field: summary[field] for field in _SCALAR_FIELDS}
-    if summary.get("telemetry") is not None:
-        # A snapshot is a plain dict: it survives the pool round-trip.
-        result["telemetry"] = summary["telemetry"]
-    return result
-
-
 def run_trials(
-    source: str,
+    source,
     trials: int = 3,
     jobs: int = 1,
     seed: int = 13,
-    shards: int | None = None,
     **run_kwargs,
 ) -> list[RunSummary]:
     """Run ``trials`` independent repetitions of a workflow run.
 
-    Each trial gets a deterministic seed derived from ``seed`` and the
-    trial index, so the set of results is identical whether the trials
-    execute serially or fan out over ``jobs`` worker processes.
-    ``source`` is a WDL path or benchmark name (re-loaded per worker —
-    live DAG/system objects never cross the process boundary).
-
-    ``shards`` routes the trials through the sharded cell machinery
-    (``repro.sim.shard.run_workflow_cells``) instead: each trial becomes
-    one cell with a pinned, disjoint invocation-id range, so the
-    returned summaries — including their ``records`` tuples — are
-    bit-identical for any shard count (``jobs`` is ignored in that
-    mode; the shard workers are the process pool).
+    Each trial is one workflow cell (``repro.sim.shard.run_workflow_cells``)
+    with a seed derived from ``seed`` and the trial index and its own
+    pinned invocation-id range, so the returned summaries — scalar
+    fields, ``records`` tuples and any telemetry snapshot — are
+    bit-identical whether the trials run serially or fan out over
+    ``jobs`` worker processes (``0`` = all cores).  ``source`` is
+    anything :func:`_load_dag` resolves, re-loaded per worker: live
+    DAG/system objects never cross the process boundary.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if shards is not None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        from .sim.shard import run_workflow_cells
+    from .sim.shard import run_workflow_cells
 
-        # Build cell specs directly (not via make_workflow_cell) so that
-        # omitted kwargs keep run_workflow's own defaults, exactly like
-        # the non-sharded path.
-        cells = [
-            dict(
-                workload=source,
-                seed=derive_seed(seed, "trial", index),
-                **run_kwargs,
-            )
-            for index in range(trials)
-        ]
-        results = run_workflow_cells(cells, shards=shards)
-        return [RunSummary(result) for result in results]
-    tasks = [
-        (source, derive_seed(seed, "trial", index), dict(run_kwargs))
+    # Build cell specs directly (not via make_workflow_cell) so that
+    # omitted kwargs keep run_workflow's own defaults.
+    cells = [
+        dict(workload=source, seed=derive_seed(seed, "trial", index), **run_kwargs)
         for index in range(trials)
     ]
-    results = ParallelRunner(jobs).map(_trial_task, tasks)
-    return [RunSummary(result) for result in results]
+    return [RunSummary(result) for result in run_workflow_cells(cells, jobs)]
 
 
 def _format_trials(summaries: list[RunSummary]) -> str:
@@ -419,11 +402,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     add_jobs_argument(parser)
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="with --trials: run the trials as shard cells on N worker "
-        "processes (bit-identical to serial; overrides --jobs)",
-    )
-    parser.add_argument(
         "--seed", type=int, default=13,
         help="base seed for arrivals/faults (trials derive from it)",
     )
@@ -462,8 +440,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.scheduler:
-        # Process-wide default so --jobs pool children and shard worker
-        # processes (which inherit the OS environment) pick it up too.
+        # Process-wide default so --jobs pool children (which inherit
+        # the OS environment) pick it up too.
         from .sim import set_default_scheduler
 
         set_default_scheduler(args.scheduler)
@@ -472,6 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     except WDLError as error:
         print(f"error: invalid workflow definition: {error}", file=sys.stderr)
         return 2
+    except ValueError as error:
+        raise SystemExit(f"error: {error}")
     run_kwargs = dict(
         engine=args.engine,
         invocations=args.invocations,
@@ -502,7 +482,6 @@ def main(argv: list[str] | None = None) -> int:
             trials=args.trials,
             jobs=args.jobs,
             seed=args.seed,
-            shards=args.shards,
             **run_kwargs,
         )
         print(_format_trials(summaries))
@@ -522,12 +501,6 @@ def main(argv: list[str] | None = None) -> int:
             write_telemetry_json(out, merged)
             print(f"telemetry snapshot: {out}")
         return 0
-    if args.shards is not None:
-        print(
-            "note: --shards only applies with --trials > 1 "
-            "(a single run has nothing to shard)",
-            file=sys.stderr,
-        )
     summary = run_workflow(
         dag,
         trace=args.trace,

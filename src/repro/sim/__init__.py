@@ -35,10 +35,6 @@ from .resources import (
     UsageSampler,
 )
 from .shard import (
-    DEFAULT_LOOKAHEAD,
-    ShardAPI,
-    ShardCoordinator,
-    partition_nodes,
     run_network_sharded,
     run_network_single,
     run_workflow_cells,
@@ -49,10 +45,6 @@ from .sync import Level, Resource, Store
 __all__ = [
     "AllOf",
     "AnyOf",
-    "DEFAULT_LOOKAHEAD",
-    "ShardAPI",
-    "ShardCoordinator",
-    "partition_nodes",
     "run_network_sharded",
     "run_network_single",
     "run_workflow_cells",

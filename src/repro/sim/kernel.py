@@ -610,10 +610,11 @@ class Environment:
         exactly — no ``now + delay`` round-trip through floating point —
         so two environments that agree on ``when`` fire the event at
         bit-identical times regardless of what their local clocks read
-        when it was scheduled.  This is the injection primitive the shard
-        coordinator uses to deliver cross-shard messages with exact
-        timestamps, and the network model uses for flow-completion
-        timers.  ``when`` must not be in the past.
+        when it was scheduled.  Transfer plans use it to start flows at
+        exact times (a traffic cell fires its slice of a plan at the
+        same timestamps as one environment running all of it), and the
+        network model uses it for flow-completion timers.  ``when`` must
+        not be in the past.
         """
         when = float(when)
         if when < self._now:
@@ -641,7 +642,7 @@ class Environment:
             heappush(queue, (when, self._eid, event))
         else:
             # The scheduler receives ``when`` exactly as named — the
-            # wheel carries full keys in its buckets, so the cross-shard
+            # wheel carries full keys in its buckets, so the
             # exact-timestamp contract holds under either scheduler.
             self._sched_insert(when, self._eid, event)
         return event
@@ -803,13 +804,11 @@ class Environment:
         """Time of the next event that will actually fire, or ``inf``.
 
         Lazily-cancelled timeouts parked at the head of the queue are
-        retired on the way (the scheduler owns the skip — one shared
-        implementation for this method and the shard coordinator's
-        barrier lookahead): they would otherwise make ``peek`` report a
-        time at which nothing observable happens.  The shard
-        coordinator's conservative-window protocol depends on this — a
-        stale head would both shrink windows needlessly and, worse,
-        keep a drained shard looking busy forever.
+        retired on the way (the scheduler owns the skip): they would
+        otherwise make ``peek`` report a time at which nothing
+        observable happens, and a drained environment would look busy
+        forever.  Callers use it to step a simulation to its next real
+        event or to test whether anything is left to run.
         """
         return self._sched.peek()
 

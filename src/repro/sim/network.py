@@ -36,8 +36,9 @@ Flow byte-counters settle only at their *own* component's rebalances,
 and completions are scheduled at absolute times via
 :meth:`Environment.schedule_at`.  A class's byte trajectory therefore
 depends only on the event history of its own connected component, so
-two simulations that partition disjoint components across shards
-produce bit-identical completion times (see ``repro.sim.shard``).
+node groups that share no traffic can run in separate environments
+(traffic cells, see ``repro.sim.shard``) and still produce bit-identical
+completion times.
 """
 
 from __future__ import annotations
@@ -83,20 +84,13 @@ class _Link:
 
 
 class NIC:
-    """A node's network interface: an egress link and an ingress link.
+    """A node's network interface: an egress link and an ingress link."""
 
-    A NIC with ``remote=True`` is a *proxy* for a node that lives in a
-    different simulation shard: flows targeting it are simulated on the
-    source side (local contention only) and their completion records are
-    exported through :attr:`Network.cross_outbox` for barrier delivery.
-    """
-
-    def __init__(self, name: str, bandwidth: float, remote: bool = False):
+    def __init__(self, name: str, bandwidth: float):
         if bandwidth <= 0:
             raise SimulationError(f"bandwidth must be > 0, got {bandwidth}")
         self.name = name
         self.bandwidth = float(bandwidth)
-        self.remote = remote
         self.egress = _Link(f"{name}.egress", bandwidth)
         self.ingress = _Link(f"{name}.ingress", bandwidth)
 
@@ -278,12 +272,6 @@ class Network:
         self.nonlocal_bytes = 0.0
         self.message_count = 0
         self.flow_count = 0
-        # Completed transfers whose destination NIC is a remote proxy:
-        # the shard coordinator drains these at each barrier and applies
-        # them on the owning shard via ingest_remote().
-        self.cross_outbox: list[TransferRecord] = []
-        self.remote_ingest_count = 0
-        self.remote_ingest_bytes = 0.0
         self.spans = NULL_SPANS
         self.telemetry = NULL_TELEMETRY
 
@@ -295,33 +283,6 @@ class Network:
         nic = NIC(name, bandwidth)
         self._nics[name] = nic
         return nic
-
-    def attach_remote(self, name: str, bandwidth: float) -> NIC:
-        """Register a proxy NIC for a node simulated in another shard.
-
-        Transfers into it run the normal fluid model against the proxy's
-        ingress capacity (i.e. the source shard sees its own contention
-        for the remote NIC, but not other shards'), and completion
-        records are exported via :attr:`cross_outbox`.
-        """
-        if name in self._nics:
-            raise SimulationError(f"NIC {name!r} already attached")
-        nic = NIC(name, bandwidth, remote=True)
-        self._nics[name] = nic
-        return nic
-
-    def ingest_remote(self, record: TransferRecord) -> None:
-        """Apply the accounting of a transfer simulated in another shard.
-
-        Only the destination-side ingress byte counter is touched — the
-        owning (source) shard already accounted the transfer in its own
-        totals, records, and pair counters, so merged metrics count each
-        transfer exactly once.
-        """
-        nic = self._nics[record.dst]
-        nic.ingress.bytes_carried += record.size
-        self.remote_ingest_count += 1
-        self.remote_ingest_bytes += record.size
 
     def nic(self, name: str) -> NIC:
         return self._nics[name]
@@ -442,11 +403,10 @@ class Network:
             pair_bytes[pair] = size
         telemetry = self.telemetry
         if telemetry.enabled:
-            # Labeled by the owning source node so sharded telemetry
-            # merges as a disjoint union of label-sets: byte sizes are
-            # integer-valued, so these counters are exact and
-            # order-independent — merged sharded values equal the
-            # single-process run's bit for bit.
+            # Labeled by the owning source node: a node's transfers all
+            # complete in the one traffic cell that owns it, so sharded
+            # telemetry merges as a disjoint union of label-sets and
+            # equals the single-process run's bit for bit.
             cache = telemetry.site_cache("net")
             handles = cache.get((src.name, kind))
             if handles is None:
@@ -479,21 +439,9 @@ class Network:
                 tag=tag,
                 slowdown=round(actual / ideal, 4) if ideal > 0 else 1.0,
             )
-        record: Optional[TransferRecord] = None
         if self.config.record_transfers and len(self.records) < self.config.record_limit:
-            record = TransferRecord(
-                src=src.name,
-                dst=dst.name,
-                size=size,
-                started_at=started,
-                finished_at=self.env.now,
-                kind=kind,
-                tag=tag,
-            )
-            self.records.append(record)
-        if dst.remote:
-            if record is None:
-                record = TransferRecord(
+            self.records.append(
+                TransferRecord(
                     src=src.name,
                     dst=dst.name,
                     size=size,
@@ -502,7 +450,7 @@ class Network:
                     kind=kind,
                     tag=tag,
                 )
-            self.cross_outbox.append(record)
+            )
 
     def set_nic_bandwidth(self, nic: NIC, bandwidth: float) -> None:
         """Reconfigure a NIC mid-run; active flows re-share immediately.

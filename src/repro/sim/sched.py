@@ -102,12 +102,10 @@ class Scheduler:
 
         Lazily-cancelled timeouts parked at the head are retired on the
         way (through ``env._retire_cancelled``): they would otherwise
-        make ``peek`` report a time at which nothing observable happens.
-        The shard coordinator's conservative-window lookahead depends on
-        this — a stale head would both shrink windows needlessly and,
-        worse, keep a drained shard looking busy forever.  This is the
+        make ``peek`` report a time at which nothing observable happens,
+        and a drained environment would look busy forever.  This is the
         single shared implementation of the skip; ``Environment.peek``
-        and the barrier protocol both delegate here.
+        delegates here.
         """
         raise NotImplementedError
 

@@ -167,8 +167,8 @@ class TestDeterminism:
         assert fingerprint("heap") == fingerprint("wheel")
 
     def test_dataflow_cells_bit_identical_across_shard_counts(self):
-        """The --shards path must not perturb DataflowSP runs: the same
-        cells on 1 and 2 shard workers return identical records."""
+        """The cell path (``run_trials``) must not perturb DataflowSP
+        runs: the same cells on 1 and 2 workers return identical records."""
         from repro.sim.shard import make_workflow_cell, run_workflow_cells
 
         cells = [
@@ -182,7 +182,7 @@ class TestDeterminism:
             )
             for seed in (7, 8)
         ]
-        serial = run_workflow_cells(cells, shards=1)
-        sharded = run_workflow_cells(cells, shards=2)
+        serial = run_workflow_cells(cells, jobs=1)
+        sharded = run_workflow_cells(cells, jobs=2)
         assert serial == sharded
         assert all(out["completed"] == out["invocations"] for out in serial)

@@ -2,10 +2,9 @@
 
 ``Timeout.cancel()`` drops timers lazily (the heap entry stays until it
 surfaces or compaction sweeps it), which used to let ``peek()`` report a
-time that would never fire.  That is fatal for the shard barrier
-protocol: the coordinator sizes conservative windows from each shard's
-``peek()``, and termination detection treats ``peek() == inf`` as
-"drained".  These tests pin the repaired contract, plus the heap's
+time that would never fire.  Any caller that steps to the next real
+event or treats ``peek() == inf`` as "drained" would then wait on a
+timer that never fires.  These tests pin the repaired contract, plus the heap's
 ``TIMER_COMPACTION_THRESHOLD`` and its behavior under container
 keep-alive churn (the workload that generates cancelled timers by the
 hundreds).

@@ -56,20 +56,6 @@ def test_analytic_bandwidth_change_applies():
     )
 
 
-def test_remote_nic_accounting():
-    env = Environment()
-    net = Network(env, NetworkConfig())
-    a = net.attach("a", 10 * MB)
-    proxy = net.attach_remote("far", 10 * MB)
-    assert proxy.remote is True
-    net.transfer(a, proxy, 5 * MB)
-    env.run()
-    # Completions against a remote proxy are exported for barrier
-    # delivery instead of (only) being accounted locally.
-    assert len(net.cross_outbox) == 1
-    assert net.cross_outbox[0].dst == "far"
-
-
 def test_replay_is_deterministic():
     """The same plan replays to identical records through the public
     drive path (the cross-commit pin lives in tests/test_golden_digests.py)."""

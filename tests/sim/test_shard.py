@@ -1,34 +1,26 @@
-"""Conservative shard runtime: protocol, partitioning, and exactness.
+"""Traffic-cell sharding: the node split, and exactness of every split.
 
-The network exactness tests drive the same absolute-time transfer plan
-through one environment and through S shard environments under
-the barrier protocol, and require the merged records to be
-bit-identical.  The relay tests exercise the reactive path — messages
-crossing shards mid-run through conservative windows — and pin hop
-timestamps against a single-environment reference.
+The network tests drive the same absolute-time transfer plan through one
+environment and through its traffic cells (groups of nodes that share
+no traffic, run in separate processes), and require the merged records,
+per-NIC byte counters, makespan and telemetry to be bit-identical.
 """
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.fig_scale import make_plan
 from repro.sim.kernel import Environment, SimulationError
 from repro.sim.network import MB
-from repro.sim.shard import (
-    DEFAULT_LOOKAHEAD,
-    ShardAPI,
-    ShardCoordinator,
-    partition_nodes,
-    run_network_single,
-    run_network_sharded,
-)
-
-INF = float("inf")
+from repro.sim.shard import run_network_sharded, run_network_single, traffic_cells
 
 
-def _abs_plan(nodes: int, flows: int, seed: int):
-    plan = make_plan(nodes, flows, seed=seed)
+def _abs_plan(nodes: int, flows: int, seed: int, group_size: int = 8):
+    plan = make_plan(nodes, flows, seed=seed, group_size=group_size)
     names = [f"n{i}" for i in range(nodes)]
     return (
         [(at, f"n{s}", f"n{d}", size) for at, s, d, size in plan],
@@ -36,54 +28,90 @@ def _abs_plan(nodes: int, flows: int, seed: int):
     )
 
 
+def _pairs_plan(pairs):
+    """One 1 MB flow per ``(src, dst)`` pair, a millisecond apart."""
+    return [(0.001 * i, s, d, MB) for i, (s, d) in enumerate(pairs)]
+
+
+def _canon(snapshot):
+    return json.dumps(snapshot, sort_keys=True)
+
+
+def _assert_exact(split, single):
+    assert split["records"] == single["records"]
+    assert split["nic_bytes"] == single["nic_bytes"]
+    assert list(split["nic_bytes"]) == list(single["nic_bytes"])
+    assert split["makespan"] == single["makespan"]
+    assert split["message_count"] == single["message_count"]
+    assert split["flow_count"] == single["flow_count"]
+    assert _canon(split["telemetry"]) == _canon(single["telemetry"])
+    # Totals are summed per cell, so only the addition order differs
+    # from the single run.
+    assert math.isclose(
+        split["total_bytes"], single["total_bytes"], rel_tol=1e-12
+    )
+
+
 class TestPartitionNodes:
+    """``traffic_cells``: nodes split along traffic, packed into cells."""
+
     def test_even_split(self):
-        parts = partition_nodes([f"n{i}" for i in range(8)], 4)
-        assert parts == [
+        names = [f"n{i}" for i in range(8)]
+        plan = _pairs_plan([("n0", "n1"), ("n2", "n3"), ("n4", "n5"), ("n6", "n7")])
+        assert traffic_cells(plan, names, 4) == [
             ["n0", "n1"], ["n2", "n3"], ["n4", "n5"], ["n6", "n7"]
         ]
 
     def test_remainder_goes_to_leading_shards(self):
-        parts = partition_nodes([f"n{i}" for i in range(10)], 4)
-        assert [len(p) for p in parts] == [3, 3, 2, 2]
+        names = [f"n{i}" for i in range(10)]
+        plan = _pairs_plan([(f"n{i}", f"n{i + 1}") for i in range(0, 10, 2)])
+        cells = traffic_cells(plan, names, 4)
+        assert [len(c) for c in cells] == [4, 2, 2, 2]
+        assert cells[0] == ["n0", "n1", "n8", "n9"]
 
     def test_groups_never_straddle_shards(self):
-        names = [f"n{i}" for i in range(48)]
-        parts = partition_nodes(names, 5, group_size=4)
-        for part in parts:
-            assert len(part) % 4 == 0
-        # Order and membership preserved.
-        assert [n for p in parts for n in p] == names
+        plan, names = _abs_plan(48, 400, 7, group_size=4)
+        cells = traffic_cells(plan, names, 5)
+        assert len(cells) == 5
+        cell_of = {name: i for i, cell in enumerate(cells) for name in cell}
+        assert sorted(cell_of) == sorted(names)
+        for _at, src, dst, _size in plan:
+            assert cell_of[src] == cell_of[dst]
+        for cell in cells:
+            assert cell == [name for name in names if name in cell]
 
-    def test_too_many_shards_raises(self):
-        with pytest.raises(SimulationError):
-            partition_nodes(["a", "b", "c"], 2, group_size=3)
+    def test_cells_capped_at_group_count(self):
+        plan, names = _abs_plan(24, 200, 3)
+        assert len(traffic_cells(plan, names, 8)) == 3
+
+    def test_heaviest_group_first(self):
+        names = ["a", "b", "c", "d", "e", "f"]
+        plan = _pairs_plan(
+            [("a", "b"), ("c", "d"), ("c", "d"), ("c", "d"), ("e", "f"),
+             ("e", "f")]
+        )
+        # c-d (3 flows) opens cell 0, e-f (2) cell 1, a-b (1) joins the
+        # lighter cell 1.
+        assert traffic_cells(plan, names, 2) == [["c", "d"], ["a", "b", "e", "f"]]
+
+    def test_idle_nodes_open_no_cell(self):
+        names = ["a", "b", "idle1", "c", "d", "idle2"]
+        plan = _pairs_plan([("a", "b"), ("c", "d"), ("c", "d")])
+        assert traffic_cells(plan, names, 8) == [
+            ["c", "d"], ["a", "b", "idle1", "idle2"]
+        ]
+        assert traffic_cells([], names, 4) == [names]
+
+    def test_one_component_is_one_cell(self):
+        names = [f"n{i}" for i in range(8)]
+        plan = _pairs_plan([(f"n{i}", f"n{(i + 1) % 8}") for i in range(8)])
+        assert traffic_cells(plan, names, 4) == [names]
 
     def test_bad_arguments_raise(self):
         with pytest.raises(SimulationError):
-            partition_nodes(["a"], 0)
+            traffic_cells([], ["a"], 0)
         with pytest.raises(SimulationError):
-            partition_nodes(["a"], 1, group_size=0)
-
-
-class TestShardAPI:
-    def test_default_timestamp_is_lookahead_away(self):
-        env = Environment()
-        api = ShardAPI(env, 0, 0.5)
-        api.send(1, "hello")
-        assert api._outbox == [(1, 0.5, "hello")]
-
-    def test_lookahead_violation_raises(self):
-        env = Environment()
-        api = ShardAPI(env, 0, 0.5)
-        with pytest.raises(SimulationError):
-            api.send(1, "too soon", ts=0.4)
-
-    def test_explicit_legal_timestamp(self):
-        env = Environment()
-        api = ShardAPI(env, 0, 0.5)
-        api.send(1, "later", ts=2.0)
-        assert api._outbox == [(1, 2.0, "later")]
+            run_network_sharded([], ["a"], 0)
 
 
 class TestScheduleAt:
@@ -107,194 +135,118 @@ class TestScheduleAt:
         assert env.peek() == 3.5
 
 
-class TestCoordinatorValidation:
-    def test_no_programs_raises(self):
-        with pytest.raises(SimulationError):
-            ShardCoordinator([])
-
-    def test_nonpositive_lookahead_raises(self):
-        with pytest.raises(SimulationError):
-            ShardCoordinator([(lambda e, a, p: None, {})], lookahead=0.0)
-
-
 class TestAlignedNetworkExactness:
-    """Partition aligned on traffic-group boundaries: zero cross-shard
-    flows, merged records bit-identical to the single-process run."""
+    """The fig_scale plan's 8-node worker groups: merged records are
+    bit-identical to the single-process run at every cell count."""
 
     @pytest.mark.parametrize("seed", [11, 29, 97])
     @pytest.mark.parametrize("shards", [2, 4, 8])
     def test_bit_identical_records(self, seed, shards):
         plan, names = _abs_plan(64, 300, seed)
-        single = run_network_single(plan, names)
-        sharded = run_network_sharded(
-            plan, names, shards, group_size=8, processes=False, strict=True
-        )
-        assert sharded["records"] == single["records"]
-        assert sharded["cross_flows"] == 0
-        assert sharded["nic_bytes"] == single["nic_bytes"]
-        assert sharded["makespan"] == single["makespan"]
-        # Totals are summed per shard, so only the addition order
-        # differs from the single run.
-        assert math.isclose(
-            sharded["total_bytes"], single["total_bytes"], rel_tol=1e-12
-        )
-        # The whole plan is known up front (causally closed): the
-        # coordinator grants one drain-to-completion window.
-        assert sharded["rounds"] == 1
-
-    def test_process_backend_matches_inproc(self):
-        plan, names = _abs_plan(64, 300, 11)
-        single = run_network_single(plan, names)
-        sharded = run_network_sharded(
-            plan, names, 4, group_size=8, processes=True, strict=True
-        )
-        assert sharded["records"] == single["records"]
-        assert sharded["backend"] in ("process", "inproc")
+        single = run_network_single(plan, names, telemetry=True)
+        sharded = run_network_sharded(plan, names, shards, telemetry=True)
+        assert sharded["cells"] == shards
+        _assert_exact(sharded, single)
 
     def test_shards1_is_passthrough(self):
         plan, names = _abs_plan(32, 100, 11)
         direct = run_network_single(plan, names)
         via_sharded = run_network_sharded(plan, names, 1)
-        assert via_sharded["records"] == direct["records"]
-        assert via_sharded["backend"] == "single"
-        assert via_sharded["rounds"] == 0
+        assert via_sharded == direct
+        assert via_sharded["cells"] == 1
 
 
 class TestMisalignedPartition:
-    """Partition that splits traffic groups: cross-shard flows are
-    simulated source-side (documented divergence), the merge reports the
-    risk counters, and strict mode refuses the layout."""
+    """The layout that used to cut traffic groups — 3 shards over the
+    64-node plan's eight 8-node groups — is exact: groups, not node
+    ranges, are what gets dealt to shards."""
 
-    def _run(self, **kwargs):
+    @pytest.fixture(scope="class")
+    def runs(self):
         plan, names = _abs_plan(64, 300, 11)
-        # group_size=1 lets the partitioner cut inside the 8-node
-        # traffic groups; 3 shards over 64 nodes guarantees a cut.
-        return plan, names, run_network_sharded(
-            plan, names, 3, group_size=1, processes=False, **kwargs
+        return (
+            plan,
+            names,
+            run_network_single(plan, names, telemetry=True),
+            run_network_sharded(plan, names, 3, telemetry=True),
         )
 
-    def test_strict_refuses_cross_flows(self):
-        plan, names = _abs_plan(64, 300, 11)
-        with pytest.raises(SimulationError):
-            run_network_sharded(
-                plan, names, 3, group_size=1, processes=False, strict=True
+    def test_no_flow_crosses_cells(self, runs):
+        plan, names, _single, sharded = runs
+        assert sharded["cells"] == 3
+        cells = traffic_cells(plan, names, 3)
+        cell_of = {name: i for i, cell in enumerate(cells) for name in cell}
+        assert all(cell_of[src] == cell_of[dst] for _t, src, dst, _z in plan)
+
+    def test_counters_and_accounting(self, runs):
+        _plan, _names, single, sharded = runs
+        _assert_exact(sharded, single)
+
+
+@st.composite
+def _grouped_plans(draw):
+    """Random clusters: traffic groups (possibly one giant component),
+    idle nodes, same-instant arrivals, and flows below and above the
+    message threshold."""
+    nodes = draw(st.integers(min_value=1, max_value=20))
+    groups = draw(st.integers(min_value=1, max_value=6))
+    # Label ``groups`` marks an idle node: it never sends or receives.
+    labels = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=groups),
+            min_size=nodes,
+            max_size=nodes,
+        )
+    )
+    names = [f"n{i}" for i in range(nodes)]
+    members = [
+        [name for name, label in zip(names, labels) if label == group]
+        for group in range(groups)
+    ]
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 0.001, 0.02, 0.3]),
+                st.integers(min_value=0, max_value=groups - 1),
+                st.integers(min_value=0, max_value=63),
+                st.integers(min_value=0, max_value=63),
+                st.sampled_from([0.001, 0.5, 2.0, 7.5, 30.0]),
+            ),
+            max_size=60,
+        )
+    )
+    plan = []
+    at = 0.0
+    for gap, group, a, b, size_mb in entries:
+        if not members[group]:
+            continue
+        at += gap
+        group_nodes = members[group]
+        plan.append(
+            (
+                at,
+                group_nodes[a % len(group_nodes)],
+                group_nodes[b % len(group_nodes)],
+                size_mb * MB,
             )
-
-    def test_counters_and_accounting(self):
-        plan, names, sharded = self._run()
-        single = run_network_single(plan, names)
-        assert sharded["cross_flows"] > 0
-        assert sharded["remote_ingests"] == sharded["cross_flows"]
-        assert sharded["divergence_risk"] >= 0
-        assert len(sharded["records"]) == len(single["records"])
-        # Accounting stays complete: every byte of every flow lands on
-        # its destination NIC (via barrier ingest for cross flows), even
-        # though contention-coupled timings may diverge.
-        for name in names:
-            assert math.isclose(
-                sharded["nic_bytes"][name][1],
-                single["nic_bytes"][name][1],
-                rel_tol=1e-9,
-                abs_tol=1.0,
-            )
-        assert math.isclose(
-            sharded["total_bytes"], single["total_bytes"], rel_tol=1e-9
         )
+    return plan, names
 
 
-class _RelayProgram:
-    """Passes a token around the shards, one conservative hop at a time."""
-
-    may_send = True
-
-    def __init__(self, env, api, payload):
-        self.env = env
-        self.api = api
-        self.shard_id = payload["shard_id"]
-        self.shards = payload["shards"]
-        self.hops = payload["hops"]
-        self.log = []
-        if self.shard_id == 0:
-            event = env.schedule_at(payload["start"])
-            event.callbacks.append(lambda _e: self._hop(0))
-
-    def _hop(self, count):
-        self.log.append((count, self.env.now))
-        if count + 1 < self.hops:
-            self.api.send((self.shard_id + 1) % self.shards, count + 1)
-
-    def on_message(self, payload, ts):
-        event = self.env.schedule_at(ts)
-        event.callbacks.append(lambda _e, count=payload: self._hop(count))
-
-    def result(self):
-        return self.log
-
-
-def _relay_factory(env, api, payload):
-    return _RelayProgram(env, api, payload)
-
-
-class TestReactiveRelay:
-    """Messages generated mid-run cross shards without ever arriving in
-    a receiver's past, and hop timestamps are bit-exact."""
-
-    @pytest.mark.parametrize("processes", [False, True])
-    def test_hop_times_match_single_env(self, processes):
-        shards, hops, start, look = 3, 7, 0.1, DEFAULT_LOOKAHEAD
-        outcome = ShardCoordinator(
-            [
-                (
-                    _relay_factory,
-                    {
-                        "shard_id": i,
-                        "shards": shards,
-                        "hops": hops,
-                        "start": start,
-                    },
-                )
-                for i in range(shards)
-            ],
-            lookahead=look,
-            processes=processes,
-        ).run()
-        merged = sorted(
-            entry for log in outcome["results"] for entry in log
+class TestAnySplitIsExact:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        _grouped_plans(),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["heap", "wheel"]),
+    )
+    def test_split_matches_single(self, grouped, shards, scheduler):
+        plan, names = grouped
+        single = run_network_single(
+            plan, names, telemetry=True, scheduler=scheduler
         )
-
-        # Single-environment reference: the same chain of
-        # now + lookahead accumulations in one event queue.
-        env = Environment()
-        reference = []
-
-        def hop(count):
-            reference.append((count, env.now))
-            if count + 1 < hops:
-                event = env.schedule_at(env.now + look)
-                event.callbacks.append(lambda _e, c=count + 1: hop(c))
-
-        first = env.schedule_at(start)
-        first.callbacks.append(lambda _e: hop(0))
-        env.run()
-
-        assert merged == sorted(reference)
-        assert outcome["messages"] == hops - 1
-
-    def test_monotone_delivery(self):
-        """Every hop lands strictly later than the previous one."""
-        outcome = ShardCoordinator(
-            [
-                (
-                    _relay_factory,
-                    {"shard_id": i, "shards": 2, "hops": 5, "start": 0.0},
-                )
-                for i in range(2)
-            ],
-            processes=False,
-        ).run()
-        merged = sorted(
-            entry for log in outcome["results"] for entry in log
+        split = run_network_sharded(
+            plan, names, shards, telemetry=True, scheduler=scheduler
         )
-        times = [ts for _count, ts in merged]
-        assert times == sorted(times)
-        assert all(b > a for a, b in zip(times, times[1:]))
+        assert 1 <= split["cells"] <= shards
+        _assert_exact(split, single)

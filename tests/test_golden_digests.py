@@ -12,9 +12,9 @@ Floats enter the hash through ``float.hex``, so a change in the last bit
 of any simulated timestamp changes the digest.  One digest per cell is
 committed in ``golden_digests.json``, and every variant of a cell must
 hash to it: the heap and the wheel kernel schedulers, and one and two
-shards.  Engine cells shard at cell granularity (as ``--shards`` runs
-them: cells spread over worker processes); the network cell also runs
-with its NICs partitioned over two shards.
+shards.  Engine cells shard at cell granularity (as ``run_trials``
+runs them: cells spread over worker processes); the network cell also
+splits its plan into two traffic cells.
 
 A change that alters simulated behaviour on purpose regenerates the file
 and says why in its commit::
@@ -225,7 +225,7 @@ def _network_cell(shards: int) -> str:
     return _network_digest(
         drive_network_sharded(
             _NETWORK_NODES, _NETWORK_FLOWS, shards,
-            processes=False, collect_records=True, telemetry=True,
+            collect_records=True, telemetry=True,
         )
     )
 
@@ -259,7 +259,7 @@ CELLS = (
 
 def all_digests(shards: int = 1) -> dict[str, str]:
     """Every cell's digest; with ``shards > 1`` cells spread over that
-    many worker processes, and network cells partition their NICs."""
+    many worker processes, and network cells split into traffic cells."""
     tasks = [(name, shards) for name in CELLS]
     return dict(zip(CELLS, ParallelRunner(shards).starmap(cell_digest, tasks)))
 

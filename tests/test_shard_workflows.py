@@ -1,22 +1,25 @@
-"""Sharded workflow cells are bit-identical to serial execution.
+"""Workflow cells are bit-identical to serial execution.
 
-Satellite of the shard work: engine runs (MasterSP and WorkerSP) shard
-at *cell* granularity — whole independent scenarios dealt to worker
-processes — because the remote store's slot queue and the storage NIC
-couple all nodes with zero lookahead.  Exactness then rests on two
-facts these tests pin across shard counts S ∈ {2, 4, 8}, random seeds,
-node counts, and workload types:
+Engine runs (MasterSP and WorkerSP) shard at *cell* granularity — whole
+independent scenarios dealt to worker processes — because the remote
+store's slot queue and the storage NIC couple all nodes.  Exactness
+then rests on two facts these tests pin across worker counts
+{2, 4, 8}, random seeds, node counts, and workload types:
 
 - each cell is causally closed, so *where* it runs cannot change its
   events;
 - each cell's invocation-id range is pinned by
   ``reset_invocation_ids``, so even the ids in its records are
   reproducible.
+
+``run_trials`` runs every trial as one such cell, so its ``jobs`` knob
+inherits the same guarantee.
 """
 
 import pytest
 
-from repro.runner import run_trials
+from repro.parallel import derive_seed
+from repro.runner import _SCALAR_FIELDS, run_trials, run_workflow
 from repro.sim.shard import make_workflow_cell, run_workflow_cells
 
 # A spread of scenarios: synthetic DAGs and realworld benchmarks, both
@@ -48,12 +51,12 @@ CELLS = [
 
 @pytest.fixture(scope="module")
 def serial_results():
-    return run_workflow_cells(CELLS, shards=1)
+    return run_workflow_cells(CELLS, jobs=1)
 
 
-@pytest.mark.parametrize("shards", [2, 4, 8])
-def test_sharded_cells_bit_identical(shards, serial_results):
-    sharded = run_workflow_cells(CELLS, shards=shards)
+@pytest.mark.parametrize("jobs", [2, 4, 8])
+def test_sharded_cells_bit_identical(jobs, serial_results):
+    sharded = run_workflow_cells(CELLS, jobs=jobs)
     assert sharded == serial_results
 
 
@@ -78,21 +81,50 @@ def test_engines_both_covered(serial_results):
 class TestRunTrialsSharded:
     def test_sharded_trials_match_each_other(self):
         kwargs = dict(trials=3, invocations=2, workers=3, seed=13)
-        one = run_trials("cycles", shards=1, **kwargs)
-        four = run_trials("cycles", shards=4, **kwargs)
+        one = run_trials("cycles", jobs=1, **kwargs)
+        four = run_trials("cycles", jobs=4, **kwargs)
         assert [dict(s) for s in one] == [dict(s) for s in four]
+        assert all(len(s["records"]) == 2 for s in one)
 
     def test_scalars_match_legacy_path(self):
-        kwargs = dict(trials=2, invocations=2, workers=3, seed=13)
-        legacy = run_trials("cycles", **kwargs)
-        sharded = run_trials("cycles", shards=2, **kwargs)
-        for a, b in zip(legacy, sharded):
-            for key in (
-                "mean_latency", "p99_latency", "completed",
-                "timeouts", "failures", "cold_starts",
-            ):
-                assert a[key] == b[key]
+        """A trial equals a direct ``run_workflow`` call with the trial's
+        derived seed — what the old per-trial pool task ran."""
+        from repro.workloads import build
+
+        trials = run_trials(
+            "cycles", trials=2, jobs=2, invocations=2, workers=3, seed=13
+        )
+        for index, trial in enumerate(trials):
+            direct = run_workflow(
+                build("cycles"),
+                seed=derive_seed(13, "trial", index),
+                invocations=2,
+                workers=3,
+            )
+            for key in _SCALAR_FIELDS:
+                assert trial[key] == direct[key], key
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_trials("cycles", trials=2, shards=0)
+            run_trials("cycles", trials=0)
+        with pytest.raises(ValueError):
+            run_trials("cycles", trials=2, jobs=-1)
+
+    def test_unknown_workload_is_a_task_error(self):
+        # Raised inside a pool worker, it comes back as the task's own
+        # exception with the CLI's message, not as a broken pool.
+        with pytest.raises(ValueError, match="neither a readable WDL file"):
+            run_trials("no-such-workflow", trials=2, jobs=2)
+        with pytest.raises(ValueError, match="unknown synthetic builder"):
+            run_trials(("no_such_builder", {}), trials=1)
+
+    def test_wdl_path_resolves_before_names(self, tmp_path, monkeypatch):
+        # A file named like a benchmark is loaded as a file.
+        (tmp_path / "cycles").write_text(
+            "name: tiny\nsteps:\n  - task: only\n    service_time: 50ms\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        (trial,) = run_trials(
+            "cycles", trials=1, invocations=1, workers=2, ship_data=False
+        )
+        assert trial["workflow"] == "tiny"

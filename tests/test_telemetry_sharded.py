@@ -3,13 +3,13 @@
 The observability tentpole's determinism contract, pinned both ways
 the simulator shards:
 
-- **network shards** label every metric by the owning source node, so
-  per-shard label-sets are disjoint and the merged snapshot is a pure
-  union of exact integer-valued counters — bit-identical to one
-  environment running the whole plan;
+- **traffic cells** label every network metric by the owning source
+  node, and every node lives in exactly one cell, so per-cell
+  label-sets are disjoint and the merged snapshot is a pure union —
+  bit-identical to one environment running the whole plan;
 - **workflow cells** each collect a fresh registry and the snapshots
   merge in cell order, replaying the exact same float additions no
-  matter which shard worker ran which cell.
+  matter which worker ran which cell.
 
 Satellite: ``MetricsCollector.breakdown()`` keeps its exact-sum
 invariant (components sum to end-to-end latency) on records coming out
@@ -36,7 +36,7 @@ def canon(snapshot):
 
 
 class TestNetworkShardTelemetry:
-    """Disjoint per-node labels + integer byte counters = union merge."""
+    """Disjoint per-node labels across traffic cells = union merge."""
 
     NODES, FLOWS, GROUP = 16, 120, 4
 
@@ -68,10 +68,7 @@ class TestNetworkShardTelemetry:
     @pytest.mark.parametrize("shards", [2, 4])
     def test_sharded_merge_bit_identical(self, shards, plan, single):
         abs_plan, names = plan
-        sharded = run_network_sharded(
-            abs_plan, names, shards,
-            group_size=self.GROUP, strict=True, telemetry=True,
-        )
+        sharded = run_network_sharded(abs_plan, names, shards, telemetry=True)
         assert sharded["records"] == single["records"]
         assert canon(sharded["telemetry"]) == canon(single["telemetry"])
 
@@ -123,7 +120,7 @@ CELLS = [
 
 @pytest.fixture(scope="module")
 def serial_cells():
-    return run_workflow_cells(CELLS, shards=1)
+    return run_workflow_cells(CELLS, jobs=1)
 
 
 class TestWorkflowCellTelemetry:
@@ -139,11 +136,11 @@ class TestWorkflowCellTelemetry:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_sharded_cells_bit_identical(self, shards, serial_cells):
-        sharded = run_workflow_cells(CELLS, shards=shards)
+        sharded = run_workflow_cells(CELLS, jobs=shards)
         assert sharded == serial_cells  # includes the telemetry dicts
 
     def test_merged_snapshot_matches_serial_merge(self, serial_cells):
-        sharded = run_workflow_cells(CELLS, shards=2)
+        sharded = run_workflow_cells(CELLS, jobs=2)
         merged_serial = merge_snapshots(
             [r["telemetry"] for r in serial_cells]
         )
@@ -192,5 +189,5 @@ class TestShardedBreakdownInvariant:
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_sharded_decomposition_identical(self, shards, serial_cells):
-        sharded = run_workflow_cells(CELLS, shards=shards)
+        sharded = run_workflow_cells(CELLS, jobs=shards)
         assert self.breakdowns(sharded) == self.breakdowns(serial_cells)
