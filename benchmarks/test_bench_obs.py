@@ -12,20 +12,28 @@ through ``run_workflow_cells``) twice over:
 
 The headline number is the instrumented-over-off wall-clock ratio
 (best-of rounds on both sides); CI gates on ``overhead_ratio`` staying
-under ``_MAX_OVERHEAD_RATIO``.  The bench also re-asserts the sharded
+under ``_MAX_OVERHEAD_RATIO``.  The full size is 1000 invocations per
+cell, 4000 in all, the size of one perfbench ``observed`` round, so the
+cost is measured at serving scale.  Each side also reports the seconds
+its best round spent in CPython's cyclic garbage collector (timed
+through ``gc.callbacks``).  The bench also re-asserts the sharded
 merge contract — per-cell snapshots merged in cell order at S=2 must be
 bit-identical to the shards=1 run — so a determinism regression
 invalidates the bench, not just a test.
 
-Run directly (``python benchmarks/test_bench_obs.py``) to refresh the
-committed ``BENCH_obs.json``; ``--quick`` is the CI smoke variant
-(fewer invocations, one round, same gates).
+Run directly (``PYTHONPATH=src python benchmarks/test_bench_obs.py``)
+to refresh the committed ``BENCH_obs.json``; ``--quick`` is the CI
+smoke variant (fewer invocations, one round, same gates).  The JSON
+records the git commit (``-dirty`` when the tree had changes),
+``cpu_count`` and ``quick``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -41,8 +49,8 @@ _ROUNDS = 3
 # catching an accidental hot-path regression (an unguarded emit or a
 # per-event allocation shows up as 3-10x, not 1.x).
 _MAX_OVERHEAD_RATIO = 2.0
-_INVOCATIONS = 6
-_QUICK_INVOCATIONS = 2
+_INVOCATIONS = 1000
+_QUICK_INVOCATIONS = 25
 
 _WORKLOADS = [
     (("layered_random", {"seed": 3}), "worker", 13, 3),
@@ -63,13 +71,48 @@ def _cells(invocations: int, telemetry: bool) -> list[dict]:
     ]
 
 
-def _best_of(fn, rounds: int) -> float:
-    wall = float("inf")
+class _GCTimer:
+    """Seconds spent in the cyclic garbage collector, via ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+
+    def __enter__(self) -> "_GCTimer":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
+
+
+def _best_of(fn, rounds: int) -> tuple[float, float]:
+    """Wall and GC seconds of the fastest of ``rounds`` runs."""
+    best = (float("inf"), 0.0)
     for _ in range(rounds):
-        start = time.perf_counter()
-        fn()
-        wall = min(wall, time.perf_counter() - start)
-    return wall
+        gc.collect()
+        with _GCTimer() as timer:
+            start = time.perf_counter()
+            fn()
+            wall = time.perf_counter() - start
+        best = min(best, (wall, timer.seconds))
+    return best
+
+
+def _git_sha() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=_HERE, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def _canon(snapshot) -> str:
@@ -94,10 +137,10 @@ def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
         )
     series = len(merged_serial["metrics"])
 
-    off_wall = _best_of(
+    off_wall, off_gc = _best_of(
         lambda: run_workflow_cells(off_cells, jobs=1), rounds
     )
-    on_wall = _best_of(
+    on_wall, on_gc = _best_of(
         lambda: run_workflow_cells(on_cells, jobs=1), rounds
     )
     return {
@@ -107,6 +150,8 @@ def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
         "metric_series": series,
         "off_wall_seconds": round(off_wall, 6),
         "on_wall_seconds": round(on_wall, 6),
+        "off_gc_seconds": round(off_gc, 6),
+        "on_gc_seconds": round(on_gc, 6),
         "off_invocations_per_sec": round(total_invocations / off_wall, 2),
         "on_invocations_per_sec": round(total_invocations / on_wall, 2),
         "overhead_ratio": round(on_wall / off_wall, 4),
@@ -144,6 +189,7 @@ def main(argv=None) -> int:
         "invariant": "S=2 sharded per-cell snapshots merged in cell order "
         "are bit-identical to the shards=1 run",
         "max_overhead_ratio": _MAX_OVERHEAD_RATIO,
+        "git_sha": _git_sha(),
         "quick": quick,
         "cpu_count": os.cpu_count(),
         **result,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from ..obs.rows import RecordView, row_fields, row_of
 from ..obs.spans import BREAKDOWN_COMPONENTS, decompose
 
 __all__ = [
@@ -90,12 +91,32 @@ class TransferEvent:
     local: bool  # served by the node-local memory store
 
 
+# Ledger rows (see repro.obs.rows): TransferEvent's fields in order.
+_transfer_row = row_of(TransferEvent)
+_FIELDS = row_fields(TransferEvent)
+_WORKFLOW = _FIELDS.index("workflow")
+_INVOCATION_ID = _FIELDS.index("invocation_id")
+_SIZE = _FIELDS.index("size")
+_DURATION = _FIELDS.index("duration")
+_LOCAL = _FIELDS.index("local")
+
+
+def _transfer_event(row: tuple) -> TransferEvent:
+    return TransferEvent(*row)
+
+
 class MetricsCollector:
-    """Accumulates records during a run and aggregates them afterwards."""
+    """Accumulates records during a run and aggregates them afterwards.
+
+    ``transfers`` is a read-only view: the collector keeps each
+    :class:`TransferEvent` as a row of atoms and builds an equal (not
+    the same) event per access.
+    """
 
     def __init__(self) -> None:
         self.invocations: list[InvocationRecord] = []
-        self.transfers: list[TransferEvent] = []
+        self._transfer_rows: list[tuple] = []
+        self.transfers = RecordView(_transfer_event, self._transfer_rows)
         # A SpanTracer attached by an engine when span tracing is on;
         # enables the measured latency decomposition below.
         self.spans = None
@@ -105,7 +126,7 @@ class MetricsCollector:
         self.invocations.append(record)
 
     def record_transfer(self, event: TransferEvent) -> None:
-        self.transfers.append(event)
+        self._transfer_rows.append(_transfer_row(event))
 
     # -- selection -------------------------------------------------------
     def invocations_of(self, workflow: str) -> list[InvocationRecord]:
@@ -212,27 +233,32 @@ class MetricsCollector:
         return {key: value / len(records) for key, value in totals.items()}
 
     # -- data movement -----------------------------------------------------
+    def _rows_of(self, workflow: str, invocation_id: Optional[int] = None):
+        return [
+            row
+            for row in self._transfer_rows
+            if row[_WORKFLOW] == workflow
+            and (invocation_id is None or row[_INVOCATION_ID] == invocation_id)
+        ]
+
     def transfers_of(self, workflow: str, invocation_id: Optional[int] = None):
         return [
-            t
-            for t in self.transfers
-            if t.workflow == workflow
-            and (invocation_id is None or t.invocation_id == invocation_id)
+            _transfer_event(row) for row in self._rows_of(workflow, invocation_id)
         ]
 
     def data_moved(
         self, workflow: str, invocation_id: Optional[int] = None
     ) -> float:
         """Bytes through the storage layer (puts + gets)."""
-        return sum(t.size for t in self.transfers_of(workflow, invocation_id))
+        return sum(row[_SIZE] for row in self._rows_of(workflow, invocation_id))
 
     def remote_data_moved(
         self, workflow: str, invocation_id: Optional[int] = None
     ) -> float:
         return sum(
-            t.size
-            for t in self.transfers_of(workflow, invocation_id)
-            if not t.local
+            row[_SIZE]
+            for row in self._rows_of(workflow, invocation_id)
+            if not row[_LOCAL]
         )
 
     def transfer_latency(
@@ -240,24 +266,29 @@ class MetricsCollector:
     ) -> float:
         """Total data-movement latency over all edges (Table 4 metric)."""
         return sum(
-            t.duration for t in self.transfers_of(workflow, invocation_id)
+            row[_DURATION] for row in self._rows_of(workflow, invocation_id)
         )
 
     def mean_transfer_latency_per_invocation(self, workflow: str) -> float:
-        ids = {t.invocation_id for t in self.transfers_of(workflow)}
-        if not ids:
+        # One pass: each invocation's latencies are summed in ledger
+        # order, exactly as transfer_latency(workflow, id) would, and the
+        # totals in the iteration order of the set of ids, as before, so
+        # the mean is bit-identical.
+        totals: dict[int, float] = {}
+        for row in self._rows_of(workflow):
+            key = row[_INVOCATION_ID]
+            totals[key] = totals.get(key, 0) + row[_DURATION]
+        if not totals:
             return 0.0
-        return sum(
-            self.transfer_latency(workflow, i) for i in ids
-        ) / len(ids)
+        return sum(totals[key] for key in set(totals)) / len(totals)
 
     def local_fraction(self, workflow: str) -> float:
         """Fraction of storage bytes served locally (FaaStore hit rate)."""
-        events = self.transfers_of(workflow)
-        total = sum(t.size for t in events)
+        rows = self._rows_of(workflow)
+        total = sum(row[_SIZE] for row in rows)
         if total == 0:
             return 0.0
-        return sum(t.size for t in events if t.local) / total
+        return sum(row[_SIZE] for row in rows if row[_LOCAL]) / total
 
     def clear(self) -> None:
         self.invocations.clear()

@@ -13,7 +13,10 @@ holds :data:`NULL_SPANS`, a :class:`NullSpanTracer` whose methods are
 no-ops, and guards any attribute collection behind ``spans.enabled``.
 
 Completed spans live in a bounded ring (drop-oldest, ``dropped``
-counted) so long runs keep their tail instead of losing it.
+counted) so long runs keep their tail instead of losing it.  The ring
+holds rows of atoms, not :class:`Span` objects (see
+:mod:`repro.obs.rows`), so the garbage collector never re-scans it;
+``SpanTracer.spans`` builds a fresh :class:`Span` per access.
 
 :func:`decompose` turns one invocation's spans into a measured latency
 breakdown whose components sum *exactly* to the end-to-end latency: the
@@ -29,6 +32,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
+
+from .rows import RecordView, row_fields, row_of
 
 __all__ = [
     "Span",
@@ -96,6 +101,18 @@ class Span:
             f"<Span #{self.span_id} {self.kind} "
             f"[{self.start:.4f}, {self.end}]{tail}>"
         )
+
+
+# Ring rows (see repro.obs.rows): every Span field but ``attrs``, which
+# goes in a parallel column of dicts.
+_ROW_FIELDS = row_fields(Span, omit=("attrs",))
+_row_of_span = row_of(Span, omit=("attrs",))
+_KIND = _ROW_FIELDS.index("kind")
+_INVOCATION_ID = _ROW_FIELDS.index("invocation_id")
+
+
+def _span_of(row: tuple, attrs: dict) -> Span:
+    return Span(*row, attrs=dict(attrs))
 
 
 # Breakdown categories, highest priority first: an instant covered by
@@ -251,12 +268,17 @@ class SpanTracer:
         self.env = env
         self.limit = limit
         # Completed spans, bounded ring: at capacity the *oldest* span
-        # is evicted so the tail of a long run survives.
-        self.spans: deque[Span] = deque(maxlen=limit)
+        # is evicted so the tail of a long run survives.  Rows and their
+        # attrs dicts are parallel columns; ``spans`` reads them back.
+        self._rows: deque[tuple] = deque(maxlen=limit)
+        self._attrs: deque[dict] = deque(maxlen=limit)
+        self.spans = RecordView(_span_of, self._rows, self._attrs)
         self.dropped = 0
         self._ids = itertools.count(1)
         self._open: dict[int, Span] = {}
-        self._roots: dict[int, Span] = {}
+        # Invocation roots: the open Span, then, once it has ended, its
+        # ring position counted from the first span ever appended.
+        self._roots: dict[int, Span | int] = {}
         self._contexts: dict[tuple[int, str], Span] = {}
 
     # -- recording -------------------------------------------------------
@@ -286,6 +308,7 @@ class SpanTracer:
         return span
 
     def end(self, span: Span, status: str = "ok", **attrs) -> Span:
+        """Close an open span; the ring keeps a row copy and its attrs dict."""
         if span.end is not None:
             return span
         span.end = self.env.now
@@ -293,7 +316,7 @@ class SpanTracer:
         if attrs:
             span.attrs.update(attrs)
         self._open.pop(span.span_id, None)
-        self._append(span)
+        self._close(span)
         return span
 
     def record(
@@ -310,7 +333,11 @@ class SpanTracer:
         status: str = "ok",
         **attrs,
     ) -> Span:
-        """Append a retrospective (already finished) span."""
+        """Append a retrospective (already finished) span.
+
+        Returns the span as a :class:`Span`; the ring keeps a row copy
+        of it and the same attrs dict.
+        """
         span = Span(
             span_id=next(self._ids),
             parent_id=parent.span_id if parent is not None else None,
@@ -324,7 +351,7 @@ class SpanTracer:
             status=status,
             attrs=attrs,
         )
-        self._append(span)
+        self._append(_row_of_span(span), attrs)
         return span
 
     def event(self, kind: str, **kwargs) -> Span:
@@ -332,13 +359,22 @@ class SpanTracer:
         now = self.env.now
         return self.record(kind, now, now, **kwargs)
 
-    def _append(self, span: Span) -> None:
-        if len(self.spans) >= self.limit:
-            evicted = self.spans[0]
-            if evicted.kind == SpanKind.INVOCATION:
-                self._roots.pop(evicted.invocation_id, None)
+    def _close(self, span: Span) -> None:
+        """Move an open span into the ring, and its root entry with it."""
+        self._append(_row_of_span(span), span.attrs)
+        invocation_id = span.invocation_id
+        if self._roots.get(invocation_id) is span:
+            self._roots[invocation_id] = self.dropped + len(self._rows) - 1
+
+    def _append(self, row: tuple, attrs: dict) -> None:
+        rows = self._rows
+        if len(rows) >= self.limit:
+            evicted = rows[0]
+            if evicted[_KIND] == SpanKind.INVOCATION:
+                self._roots.pop(evicted[_INVOCATION_ID], None)
             self.dropped += 1
-        self.spans.append(span)
+        rows.append(row)
+        self._attrs.append(attrs)
 
     # -- invocation / function context -----------------------------------
     def start_invocation(
@@ -354,7 +390,11 @@ class SpanTracer:
         return span
 
     def root_of(self, invocation_id: int) -> Optional[Span]:
-        return self._roots.get(invocation_id)
+        root = self._roots.get(invocation_id)
+        if isinstance(root, int):
+            index = root - self.dropped
+            return _span_of(self._rows[index], self._attrs[index])
+        return root
 
     def set_context(
         self, invocation_id: int, function: str, span: Span
@@ -381,7 +421,7 @@ class SpanTracer:
         for span in list(self._open.values()):
             span.end = self.env.now
             span.status = "open"
-            self._append(span)
+            self._close(span)
             closed += 1
         self._open.clear()
         return closed
@@ -395,29 +435,44 @@ class SpanTracer:
 
     # -- queries ---------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.spans) + len(self._open)
+        return len(self._rows) + len(self._open)
 
     def all_spans(self) -> list[Span]:
         """Completed + still-open spans, in recording order."""
         return list(self.spans) + list(self._open.values())
 
-    def spans_of(self, invocation_id: int) -> list[Span]:
-        return [
-            s for s in self.all_spans() if s.invocation_id == invocation_id
+    def _where(self, field: str, value) -> list[Span]:
+        """Spans whose ``field`` equals ``value``, in recording order.
+
+        Filters the ring's rows first and builds only the matches.
+        """
+        at = _ROW_FIELDS.index(field)
+        found = [
+            _span_of(row, attrs)
+            for row, attrs in zip(self._rows, self._attrs)
+            if row[at] == value
         ]
+        found += [s for s in self._open.values() if getattr(s, field) == value]
+        return found
+
+    def spans_of(self, invocation_id: int) -> list[Span]:
+        return self._where("invocation_id", invocation_id)
 
     def of_kind(self, kind: str) -> list[Span]:
-        return [s for s in self.all_spans() if s.kind == kind]
+        return self._where("kind", kind)
 
     def invocation_ids(self) -> list[int]:
-        seen: dict[int, None] = {}
-        for span in self.spans:
-            if span.kind == SpanKind.INVOCATION:
-                seen[span.invocation_id] = None
-        return list(seen)
+        """Ids of the invocations whose root span is in the ring."""
+        return list(
+            dict.fromkeys(
+                row[_INVOCATION_ID]
+                for row in self._rows
+                if row[_KIND] == SpanKind.INVOCATION
+            )
+        )
 
     def children_of(self, span_id: int) -> list[Span]:
-        return [s for s in self.all_spans() if s.parent_id == span_id]
+        return self._where("parent_id", span_id)
 
     def tree(self, invocation_id: int) -> list[tuple[int, Span]]:
         """Depth-first (depth, span) pairs of one invocation's tree."""
@@ -448,6 +503,7 @@ class NullSpanTracer:
     enabled = False
     dropped = 0
     limit = 0
+    spans = RecordView(_span_of, [], [])
 
     _NULL_SPAN = Span(span_id=0, parent_id=None, kind="null", start=0.0, end=0.0)
 
@@ -498,6 +554,18 @@ class NullSpanTracer:
 
     def invocation_ids(self) -> list[int]:
         return []
+
+    def children_of(self, span_id: int) -> list[Span]:
+        return []
+
+    def tree(self, invocation_id: int) -> list[tuple[int, Span]]:
+        return []
+
+    def format_tree(self, invocation_id: int) -> str:
+        return ""
+
+    def breakdown_of(self, invocation_id: int) -> Optional[dict[str, float]]:
+        return None
 
 
 NULL_SPANS = NullSpanTracer()

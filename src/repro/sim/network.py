@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
+from ..obs.rows import RecordView
 from ..obs.spans import NULL_SPANS, SpanKind
 from ..obs.telemetry import NULL_TELEMETRY
 from .kernel import Environment, Event, SimulationError, Timeout
@@ -210,8 +211,9 @@ _CLASS_ORDER = attrgetter("order")
 class TransferRecord(NamedTuple):
     """Ledger entry for one completed transfer (bulk or message).
 
-    Immutable, and a tuple: one is built per transfer, so it stays as
-    small and cheap to construct as a record can be.
+    Immutable, and a tuple.  ``Network.records`` stores each entry as a
+    plain tuple of the same fields (see :mod:`repro.obs.rows`) and
+    builds a ``TransferRecord`` per access.
     """
 
     src: str
@@ -225,6 +227,10 @@ class TransferRecord(NamedTuple):
     @property
     def duration(self) -> float:
         return self.finished_at - self.started_at
+
+
+def _transfer_record(row: tuple) -> TransferRecord:
+    return tuple.__new__(TransferRecord, row)
 
 
 @dataclass
@@ -265,7 +271,10 @@ class Network:
         # iterates in allocation order until a class outlives its oldest
         # flow; this flag records when that sortedness breaks.
         self._order_sorted = True
-        self.records: list[TransferRecord] = []
+        # The ledger: one row per transfer in TransferRecord field
+        # order, read back as TransferRecords through ``records``.
+        self._record_rows: list[tuple] = []
+        self.records = RecordView(_transfer_record, self._record_rows)
         # Incremental byte counters: exact regardless of record_limit.
         self._pair_bytes: dict[tuple[str, str], float] = {}
         self.total_bytes = 0.0
@@ -439,18 +448,9 @@ class Network:
                 tag=tag,
                 slowdown=round(actual / ideal, 4) if ideal > 0 else 1.0,
             )
-        if self.config.record_transfers and len(self.records) < self.config.record_limit:
-            self.records.append(
-                TransferRecord(
-                    src=src.name,
-                    dst=dst.name,
-                    size=size,
-                    started_at=started,
-                    finished_at=self.env.now,
-                    kind=kind,
-                    tag=tag,
-                )
-            )
+        rows = self._record_rows
+        if self.config.record_transfers and len(rows) < self.config.record_limit:
+            rows.append((src.name, dst.name, size, started, self.env.now, kind, tag))
 
     def set_nic_bandwidth(self, nic: NIC, bandwidth: float) -> None:
         """Reconfigure a NIC mid-run; active flows re-share immediately.

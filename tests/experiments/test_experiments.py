@@ -267,3 +267,26 @@ class TestScaleServe:
         )
         assert result.data["total_ok"] == result.data["total_served"] == 600
         assert result.data["batch_control"] is True
+
+    def test_reaper_empties_records_and_transfer_ledger(self):
+        from repro.experiments import ext_scale_serve
+        from repro.metrics import InvocationRecord, MetricsCollector, TransferEvent
+        from repro.sim import Environment
+
+        env = Environment()
+        metrics = MetricsCollector()
+        env.process(ext_scale_serve._reaper(env, metrics, 1.0))
+
+        def fill(inv):
+            metrics.record_invocation(InvocationRecord("w", inv, "worker-sp", 0.0))
+            metrics.record_transfer(
+                TransferEvent("w", inv, "p", "c", 1.0, 0.1, "get", False)
+            )
+
+        fill(1)
+        env.run(until=1.5)
+        assert metrics.invocations == [] and metrics.transfers == []
+        fill(2)
+        assert [t.invocation_id for t in metrics.transfers] == [2]
+        env.run(until=2.5)
+        assert len(metrics.transfers) == 0 and metrics.data_moved("w") == 0

@@ -1,5 +1,7 @@
 """Unit and property tests for metrics aggregation."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,3 +166,38 @@ class TestTransferAggregation:
         collector.clear()
         assert not collector.invocations
         assert not collector.transfers
+        collector.record_transfer(self.transfer(inv=9))
+        assert [t.invocation_id for t in collector.transfers] == [9]
+
+    def test_transfers_view_reads_back_equal_events(self):
+        collector = MetricsCollector()
+        events = [
+            self.transfer(inv=i, phase=phase, local=i % 2 == 0)
+            for i, phase in enumerate(("put", "get", "get", "push"))
+        ]
+        for event in events:
+            collector.record_transfer(event)
+        view = collector.transfers
+        assert len(view) == 4
+        assert list(view) == events and view == events and events == view
+        assert view[0] == events[0] and view[0] is not events[0]
+        assert view[-1].phase == "push"
+        assert view[1:3] == events[1:3]
+        assert view != events[1:]
+        assert collector.transfers_of("w", 2) == [events[2]]
+
+    def test_changed_copy_leaves_ledger_unchanged(self):
+        collector = MetricsCollector()
+        collector.record_transfer(self.transfer(size=2 * MB))
+        changed = dataclasses.replace(collector.transfers[0], size=0.0)
+        assert changed.size == 0.0
+        assert collector.transfers[0].size == 2 * MB
+
+    def test_transfers_view_clear_keeps_invocations(self):
+        collector = MetricsCollector()
+        collector.record_invocation(record())
+        collector.record_transfer(self.transfer())
+        collector.transfers.clear()
+        assert collector.transfers == []
+        assert collector.data_moved("w") == 0
+        assert len(collector.invocations) == 1

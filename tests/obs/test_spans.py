@@ -79,6 +79,65 @@ class TestSpanLifecycle:
         tracer.record(SpanKind.EXECUTE, 0.0, 1.0)
         assert len(tracer) == 2
 
+    def test_spans_view_reads_back_equal_spans(self):
+        tracer = make_tracer()
+        recorded = [
+            tracer.record(SpanKind.EXECUTE, float(i), i + 0.5, function=f"f{i}", n=i)
+            for i in range(4)
+        ]
+        view = tracer.spans
+        assert len(view) == 4
+        assert list(view) == recorded
+        assert view == recorded and recorded == view
+        assert view != recorded[:3]
+        assert view[0] == recorded[0] and view[0] is not recorded[0]
+        assert view[-1] == recorded[-1]
+        assert view[1:3] == recorded[1:3]
+        assert view[::-2] == recorded[::-2]
+        assert view[5:] == []
+        with pytest.raises(IndexError):
+            view[4]
+
+    def test_changed_copy_leaves_ring_unchanged(self):
+        tracer = make_tracer()
+        tracer.record(SpanKind.EXECUTE, 0.0, 1.0, size=3)
+        copy = tracer.spans[0]
+        copy.status = "failed"
+        copy.attrs["size"] = 4
+        assert tracer.spans[0].status == "ok"
+        assert tracer.spans[0].attrs == {"size": 3}
+
+    def test_ended_root_is_rebuilt_from_the_ring(self):
+        tracer = make_tracer()
+        root = tracer.start_invocation(7, workflow="w", tenant="t")
+        tracer.env.run(until=2.0)
+        tracer.end(root, status="failed")
+        again = tracer.root_of(7)
+        assert again == root and again is not root
+        assert again.end == 2.0 and again.status == "failed"
+        assert again.attrs == {"tenant": "t"}
+        # Ending a rebuilt (closed) span again changes nothing.
+        assert tracer.end(again, status="ok") is again
+        assert tracer.spans == [root]
+
+    def test_queries_build_only_matching_spans(self):
+        tracer = make_tracer()
+        root = tracer.start_invocation(1, workflow="w")
+        fn = tracer.start(SpanKind.FUNCTION, parent=root, invocation_id=1)
+        tracer.record(SpanKind.EXECUTE, 0.0, 1.0, parent=fn, invocation_id=1)
+        tracer.end(fn)
+        tracer.end(tracer.start_invocation(2, workflow="w"))
+        tracer.record(SpanKind.EXECUTE, 0.0, 1.0, invocation_id=2)
+        assert [s.kind for s in tracer.spans_of(1)] == [
+            SpanKind.EXECUTE, SpanKind.FUNCTION, SpanKind.INVOCATION,
+        ]
+        assert tracer.spans_of(1)[-1] is root  # root 1 is still open
+        assert [s.invocation_id for s in tracer.of_kind(SpanKind.EXECUTE)] == [1, 2]
+        assert tracer.children_of(root.span_id) == [fn]
+        assert tracer.invocation_ids() == [2]
+        tracer.end(root)
+        assert tracer.invocation_ids() == [2, 1]
+
 
 class TestRingSemantics:
     def test_drop_oldest_keeps_tail(self):
@@ -97,6 +156,22 @@ class TestRingSemantics:
         tracer.record(SpanKind.EXECUTE, 1.0, 2.0)  # evicts the root
         assert tracer.root_of(1) is None
 
+    def test_ended_roots_survive_eviction_of_older_spans(self):
+        tracer = make_tracer(limit=2)
+        tracer.record(SpanKind.EXECUTE, 0.0, 1.0)
+        first = tracer.start_invocation(1)
+        second = tracer.start_invocation(2)
+        tracer.end(first)
+        tracer.end(second)  # evicts the execute span
+        tracer.record(SpanKind.EXECUTE, 1.0, 2.0)  # evicts root 1
+        assert tracer.dropped == 2
+        assert tracer.root_of(1) is None
+        assert tracer.root_of(2) == second
+        assert [s.kind for s in tracer.spans] == [
+            SpanKind.INVOCATION, SpanKind.EXECUTE,
+        ]
+        assert tracer.spans[0] == second
+
     def test_invalid_limit_rejected(self):
         with pytest.raises(ValueError):
             make_tracer(limit=0)
@@ -109,6 +184,27 @@ class TestRingSemantics:
         assert len(tracer) == 0
         assert tracer.dropped == 0
         assert tracer.root_of(1) is None
+        assert tracer.spans == []
+
+    def test_clear_then_reuse_keeps_root_positions(self):
+        tracer = make_tracer(limit=2)
+        for i in range(3):
+            tracer.record(SpanKind.EXECUTE, float(i), i + 1.0)
+        tracer.clear()
+        root = tracer.start_invocation(5)
+        tracer.end(root)
+        assert tracer.root_of(5) == root
+
+    def test_finalize_moves_open_spans_into_the_view(self):
+        tracer = make_tracer()
+        root = tracer.start_invocation(3)
+        tracer.record(SpanKind.EXECUTE, 0.0, 0.5, invocation_id=3)
+        tracer.env.run(until=1.0)
+        assert tracer.finalize() == 1
+        assert len(tracer.spans) == 2 and len(tracer) == 2
+        assert tracer.spans[-1] == root
+        assert tracer.root_of(3).status == "open"
+        assert tracer.breakdown_of(3)["execute"] == 0.5
 
 
 class TestNullTracer:
@@ -124,6 +220,11 @@ class TestNullTracer:
         assert NULL_SPANS.all_spans() == []
         assert len(NULL_SPANS) == 0
         assert NULL_SPANS.finalize() == 0
+        assert NULL_SPANS.spans == [] and len(NULL_SPANS.spans) == 0
+        assert NULL_SPANS.children_of(1) == []
+        assert NULL_SPANS.tree(1) == []
+        assert NULL_SPANS.format_tree(1) == ""
+        assert NULL_SPANS.breakdown_of(1) is None
 
 
 def _span(kind, start, end, span_id=0, **kwargs):

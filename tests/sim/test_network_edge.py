@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.kernel import Environment
-from repro.sim.network import KB, MB, Network, NetworkConfig
+from repro.sim.network import KB, MB, Network, NetworkConfig, TransferRecord
 
 
 def make_net(latency=0.0, threshold=0.0, **extra):
@@ -58,6 +58,39 @@ class TestRecordLimits:
         assert len(net.records) == 5
         # Counters keep going even when the ledger is full.
         assert net.total_bytes == pytest.approx(10 * MB)
+        assert net.bytes_between("a", "b") == pytest.approx(10 * MB)
+        assert [r.finished_at for r in net.records] == sorted(
+            r.finished_at for r in net.records
+        )
+
+    def test_records_view_reads_back_equal_records(self):
+        env, net = make_net()
+        a = net.attach("a", 100 * MB)
+        b = net.attach("b", 100 * MB)
+        for size in (1 * MB, 2 * MB, 3 * MB):
+            env.run(until=net.transfer(a, b, size, tag="t"))
+        view = net.records
+        expected = [
+            TransferRecord("a", "b", r.size, r.started_at, r.finished_at, "flow", "t")
+            for r in view
+        ]
+        assert len(view) == 3
+        assert all(type(r) is TransferRecord for r in view)
+        assert view == expected and expected == view
+        assert view[-1] == expected[-1] and view[-1].size == 3 * MB
+        assert view[0] is not view[0]
+        assert view[:2] == expected[:2]
+        assert view[::-1] == expected[::-1]
+        assert view != expected[:2]
+
+    def test_changed_copy_leaves_ledger_unchanged(self):
+        env, net = make_net()
+        a = net.attach("a", 100 * MB)
+        b = net.attach("b", 100 * MB)
+        env.run(until=net.transfer(a, b, 1 * MB))
+        changed = net.records[0]._replace(size=0.0, tag="x")
+        assert changed.size == 0.0
+        assert net.records[0].size == 1 * MB and net.records[0].tag == ""
 
     def test_record_transfers_disabled(self):
         env, net = make_net()
