@@ -764,20 +764,39 @@ class Network:
         self._timer = timer
 
     def _on_timer(self, _: Event) -> None:
+        """Retire the flows that are due, within their components only.
+
+        The eps band applies only to the components of classes whose
+        ``finish_at`` has passed: settling a class of an unrelated
+        component at this instant would make its completion depend on
+        another component's timer, which a sharded run never sees.
+        Retirement keeps class-creation order.
+        """
         self._timer = None
         now = self.env.now
-        finished: list[Flow] = []
+        due: list[_Link] = []
+        banded: list[_FlowClass] = []
         for fclass in self._classes.values():
+            if fclass.finish_at <= now:
+                due.extend(fclass.links)
             rate = fclass.rate
-            if rate <= _EPS:
-                continue
             # Projected min-remaining at ``now``; anything within the
             # class's eps band has (or is about to have) completed.
-            if fclass.least - rate * (now - fclass.since) <= fclass.eps_max:
-                self._settle_class(fclass, now)
-                for flow in fclass.flows:
-                    if flow.remaining <= flow.finish_eps:
-                        finished.append(flow)
+            if (
+                rate > _EPS
+                and fclass.least - rate * (now - fclass.since) <= fclass.eps_max
+            ):
+                banded.append(fclass)
+        self._component(due)
+        mark = self._mark
+        finished: list[Flow] = []
+        for fclass in banded:
+            if fclass.mark != mark:
+                continue
+            self._settle_class(fclass, now)
+            for flow in fclass.flows:
+                if flow.remaining <= flow.finish_eps:
+                    finished.append(flow)
         changed = self._retire_finished(finished)
         self._rebalance(changed)
 

@@ -14,6 +14,7 @@ import pytest
 from repro.experiments.fig_scale import drive_network_sharded
 from repro.sim.kernel import Environment
 from repro.sim.network import MB, Network, NetworkConfig
+from repro.sim.shard import run_network_sharded, run_network_single
 
 
 def test_invalid_progress_rejected():
@@ -62,3 +63,32 @@ def test_replay_is_deterministic():
     out1 = drive_network_sharded(16, 80, 1, seed=5, collect_records=True)
     out2 = drive_network_sharded(16, 80, 1, seed=5, collect_records=True)
     assert out1["records"] == out2["records"]
+
+
+@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
+def test_timer_retires_only_its_own_component(scheduler):
+    """A flow finishing on n2->n3 must not settle and retire the 30 MB
+    n1->n0 flow that happens to be within its eps band at that instant:
+    the 30 MB flow ends at its own finish time, with or without the
+    unrelated traffic, and the split run agrees with the single run."""
+    names = ["n0", "n1", "n2", "n3"]
+    base = [
+        (0.0, "n0", "n0", 0.001 * MB),
+        (0.6, "n1", "n0", 0.5 * MB),
+        (0.6, "n1", "n0", 30.0 * MB),
+    ]
+    unrelated = (0.8999999999999999, "n2", "n3", 0.5 * MB)
+
+    def finish_of_big(records):
+        (row,) = [r for r in records if r[2] == 30.0 * MB]
+        return row[4]
+
+    alone = run_network_single(base, names, scheduler=scheduler)
+    single = run_network_single(base + [unrelated], names, scheduler=scheduler)
+    split = run_network_sharded(
+        base + [unrelated], names, 2, scheduler=scheduler
+    )
+    assert split["cells"] == 2
+    assert finish_of_big(alone["records"]) == 0.905
+    assert finish_of_big(single["records"]) == 0.905
+    assert split["records"] == single["records"]

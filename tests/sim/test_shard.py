@@ -10,7 +10,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.fig_scale import make_plan
@@ -233,6 +233,19 @@ def _grouped_plans(draw):
     return plan, names
 
 
+# A 30 MB flow used to retire on the timer of an unrelated n2->n3 flow
+# in the single run (one float ulp early) but not in the split run.
+_CROSS_COMPONENT_TIMER = (
+    [
+        (0.0, "n0", "n0", 0.001 * MB),
+        (0.6, "n1", "n0", 0.5 * MB),
+        (0.6, "n1", "n0", 30.0 * MB),
+        (0.8999999999999999, "n2", "n3", 0.5 * MB),
+    ],
+    ["n0", "n1", "n2", "n3"],
+)
+
+
 class TestAnySplitIsExact:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -240,6 +253,8 @@ class TestAnySplitIsExact:
         st.integers(min_value=1, max_value=8),
         st.sampled_from(["heap", "wheel"]),
     )
+    @example(_CROSS_COMPONENT_TIMER, 2, "heap")
+    @example(_CROSS_COMPONENT_TIMER, 2, "wheel")
     def test_split_matches_single(self, grouped, shards, scheduler):
         plan, names = grouped
         single = run_network_single(
