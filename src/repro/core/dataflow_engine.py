@@ -22,12 +22,14 @@ see PAPERS.md) go one level further and both beat it the same way:
 
 The engine itself is :class:`~.worker_engine.WorkerEngine` minus the
 lock plus the shipping: deployment compiles the same indexed dispatch
-tables (ISSUE 10) — including a precompiled per-producer ship plan —
-and only the trigger paradigm (lock-free token step), the wire-level
-labels, and the eager pushes differ.  Everything below the trigger
-paradigm — containers, retries, straggler watchdogs, cancellation,
-spans, telemetry — is the same substrate the other two engines use,
-which is what makes the three-way comparison
+tables — including a precompiled per-producer ship plan — and tokens
+travel through WorkerSP's one delivery routine (a token is a state
+update by another name; ``EngineConfig.batch_control`` coalesces them
+the same way).  Only the trigger paradigm (lock-free token step), the
+wire-level labels, and the eager pushes differ.  Everything below the
+trigger paradigm — containers, retries, straggler watchdogs,
+cancellation, spans, telemetry — is the same substrate the other two
+engines use, which is what makes the three-way comparison
 (`faasflow-experiment fig12/fig13/dataflow`) apples-to-apples.
 """
 
@@ -35,10 +37,8 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..obs.spans import SpanKind
 from ..sim import Node
 from .state import InvocationID, WorkflowStructure
-from .tracing import Kind
 from .worker_engine import FaaSFlowSystem, WorkerEngine, _FnDispatch
 
 __all__ = ["DataflowEngine", "DataflowSystem"]
@@ -57,12 +57,17 @@ class DataflowEngine(WorkerEngine):
     _run_prefix = "dataflow"
     _local_notify_prefix = "token"
     _remote_notify_prefix = "token"
-    _state_tag_prefix = "token"
+    _sync_role = "token"
+    _sync_detail = "token "
 
     def __init__(self, system: "DataflowSystem", node: Node):
         super().__init__(system, node)
-        self.tokens_received = 0  # cross-worker dataflow tokens received
         self.pushes_started = 0  # eager chunk pushes spawned
+
+    @property
+    def tokens_received(self) -> int:
+        """Cross-worker dataflow tokens received (``states_synced``)."""
+        return self.states_synced
 
     # -- deployment ---------------------------------------------------------
     def _compile(
@@ -122,43 +127,26 @@ class DataflowEngine(WorkerEngine):
         self.events_handled += 1
         self.busy_time += self.system.config.dataflow_trigger_time
 
-    # A dataflow token is a state update by another name: one finished
-    # predecessor notifying one consumer function.
-    receive_token = WorkerEngine.receive_state_update
-    receive_tokens = WorkerEngine.receive_state_updates
-
-    # -- local execution -----------------------------------------------------
-    def _propagate(
-        self,
-        structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        entry: _FnDispatch,
-        produced: bool = False,
-    ) -> None:
-        """Fan out tokens, eager data pushes, and sink reports.
-
-        Pushes launch in the same atomic step as the dataflow tokens,
-        but carry the *data*: one worker-to-worker transfer per (chunk,
-        remote consumer node).  The tokens (1 KB) land long before the
-        chunks (MBs), so a consumer that fires early coalesces on the
-        in-flight push through the FaaStore single-flight map rather
-        than starting a redundant remote read.
-        """
-        if produced:
-            self._ship_outputs(structure, invocation_id, entry)
-        super()._propagate(structure, invocation_id, entry, produced)
-
+    # -- eager shipping -----------------------------------------------------
     def _ship_outputs(
         self,
         structure: WorkflowStructure,
         invocation_id: InvocationID,
         entry: _FnDispatch,
     ) -> None:
+        """Push a finished producer's output chunks to its consumers' nodes.
+
+        Called by ``_propagate`` in the same atomic step as the tokens,
+        but carrying the *data*: one worker-to-worker transfer per
+        (chunk, remote consumer node).  The tokens (1 KB) land long
+        before the chunks (MBs), so a consumer that fires early
+        coalesces on the in-flight push through the FaaStore
+        single-flight map rather than starting a redundant remote read.
+        """
         config = self.system.config
         policy = self.system.policy
         if (
-            entry.ship_plan is None
-            or not config.eager_ship
+            not config.eager_ship
             or not config.ship_data
             or not policy.supports_eager_push
         ):
@@ -177,108 +165,6 @@ class DataflowEngine(WorkerEngine):
                     name=push_names[chunk],
                 )
                 self.pushes_started += 1
-
-    def _notify_remote(
-        self,
-        structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        item: tuple,
-    ) -> Generator:
-        remote_engine, dest_structure, dest_entry, _, tag = item
-        system = self.system
-        sync_start = self.env.now
-        yield system.network.message(
-            self.node.nic,
-            remote_engine.node.nic,
-            system.config.state_message_size,
-            tag=tag,
-        )
-        spans = system.spans
-        if spans.enabled:
-            spans.record(
-                SpanKind.STATE_SYNC,
-                sync_start,
-                self.env.now,
-                workflow=structure.workflow,
-                invocation_id=invocation_id,
-                function=dest_entry.name,
-                node=self.node.name,
-                parent=spans.root_of(invocation_id),
-                role="token",
-                dst=remote_engine.node.name,
-            )
-        remote_engine.tokens_received += 1
-        if system.tracer is not None:
-            system.trace(
-                Kind.STATE_SYNC, structure.workflow, invocation_id,
-                function=dest_entry.name, node=remote_engine.node.name,
-                detail=f"token from {self.node.name}",
-            )
-        if remote_engine.down:
-            remote_engine._deferred.append(
-                (
-                    "update", structure.workflow, structure.version,
-                    invocation_id, dest_entry.name,
-                )
-            )
-            return
-        yield from remote_engine._engine_step()
-        remote_engine._apply_state_update(
-            dest_structure, dest_entry, invocation_id
-        )
-
-    def _notify_remote_batch(
-        self,
-        structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        batch: tuple,
-    ) -> Generator:
-        """Batched token fan-out: one transfer, one batch of handling."""
-        remote_engine, dest_structure, dest_entries, _, joined, _, tag = batch
-        system = self.system
-        sync_start = self.env.now
-        yield system.network.message(
-            self.node.nic,
-            remote_engine.node.nic,
-            system.config.state_message_size * len(dest_entries),
-            tag=tag,
-        )
-        spans = system.spans
-        if spans.enabled:
-            spans.record(
-                SpanKind.STATE_SYNC,
-                sync_start,
-                self.env.now,
-                workflow=structure.workflow,
-                invocation_id=invocation_id,
-                function=dest_entries[0].name,
-                node=self.node.name,
-                parent=spans.root_of(invocation_id),
-                role="token-batch",
-                dst=remote_engine.node.name,
-                batch=len(dest_entries),
-            )
-        remote_engine.tokens_received += len(dest_entries)
-        if system.tracer is not None:
-            system.trace(
-                Kind.STATE_SYNC, structure.workflow, invocation_id,
-                function=joined, node=remote_engine.node.name,
-                detail=f"token batch from {self.node.name}",
-            )
-        if remote_engine.down:
-            for dest_entry in dest_entries:
-                remote_engine._deferred.append(
-                    (
-                        "update", structure.workflow, structure.version,
-                        invocation_id, dest_entry.name,
-                    )
-                )
-            return
-        yield from remote_engine._engine_step()
-        for dest_entry in dest_entries:
-            remote_engine._apply_state_update(
-                dest_structure, dest_entry, invocation_id
-            )
 
 
 class DataflowSystem(FaaSFlowSystem):

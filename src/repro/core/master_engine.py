@@ -134,6 +134,8 @@ class HyperFlowServerlessSystem:
         self.master = master or cluster.storage_node
         self._engine_lock = Resource(self.env, capacity=1)
         self._workflows: dict[str, _RegisteredWorkflow] = {}
+        # workflow -> telemetry tenant label (see :meth:`tenant_of`).
+        self._tenants: dict[str, str] = {}
         self.messages_sent = 0
         self.events_handled = 0
         self.busy_time = 0.0
@@ -288,10 +290,7 @@ class HyperFlowServerlessSystem:
 
     def tenant_of(self, workflow: str) -> str:
         """Telemetry tenant label for one workflow's invocations."""
-        tenants = getattr(self, "_tenants", None)
-        if tenants is not None:
-            return tenants.get(workflow, self.config.tenant)
-        return self.config.tenant
+        return self._tenants.get(workflow, self.config.tenant)
 
     def set_tenants(self, tenants: dict[str, str]) -> None:
         self._tenants = dict(tenants)

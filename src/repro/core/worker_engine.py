@@ -9,19 +9,25 @@ ever crosses the network — the master only partitions graphs and
 (acting as the client) receives the final execution state from the
 sink functions' workers.
 
-Serving-throughput design (ISSUE 10): deployment compiles each
-``(workflow, version)`` sub-graph into a per-engine dispatch table
+Serving-throughput design: deployment compiles each ``(workflow,
+version)`` sub-graph into a per-engine dispatch table
 (:class:`_FnDispatch`) — dense function indices, pre-resolved successor
-engines, and precomputed process names — so the per-invocation hot path
-does no string formatting, no placement lookups, and no per-function
-state allocation (state lives in :class:`CompiledInvocation` arrays).
-A live triggered-not-executed index keeps crash collection O(in-flight)
-and invocation state is retired the moment the invocation completes, so
-engine memory tracks concurrency, not history.  With
-``EngineConfig.batch_control`` the control messages emitted by one
-engine step coalesce per destination into a single transfer and a
-single remote engine wakeup (documented divergence; default off keeps
-the event sequence pinned by ``tests/test_golden_digests.py``).
+deliveries, and precomputed process names, tags and wire sizes — so the
+per-invocation hot path does no string formatting, no placement
+lookups, and no per-function state allocation (state lives in
+:class:`CompiledInvocation` arrays).  A live triggered-not-executed
+index keeps crash collection O(in-flight) and invocation state is
+retired the moment the invocation completes, so engine memory tracks
+concurrency, not history.
+
+Every state update travels through one routine,
+:meth:`WorkerEngine._deliver`: one hop (an in-process RPC or a
+worker-to-worker message) and one destination engine step for all the
+entries the delivery carries.  Unbatched, each successor is a delivery
+of one.  With ``EngineConfig.batch_control`` the updates a finished
+function sends to one destination engine coalesce into a single
+delivery (a documented divergence in timing, never in outcomes or
+order).  ``tests/test_golden_digests.py`` pins both modes.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from .switching import is_skipped
 from .state import (
     EXECUTED,
     TRIGGERED,
+    CompiledInvocation,
     InvocationID,
     Placement,
     WorkflowStructure,
@@ -114,9 +121,9 @@ class _FnDispatch:
     """Compiled per-engine dispatch entry for one local function.
 
     Everything the hot path needs, resolved once at deploy time:
-    dense index, trigger metadata, successor fan-out with pre-resolved
-    remote engine references, and the process-name strings that were
-    previously f-formatted on every spawn.
+    dense index, trigger metadata, successor deliveries with
+    pre-resolved engine references, and the process-name strings that
+    were previously f-formatted on every spawn.
     """
 
     __slots__ = (
@@ -129,18 +136,12 @@ class _FnDispatch:
         "sink_name",
         "sink_tag",
         "fail_tag",
-        # DAG-ordered (remote engine or None, destination structure,
-        # destination dispatch entry, process name, message tag).
-        # Resolved lazily by :meth:`_link_entry` on first propagation,
-        # once every engine of the deployment has compiled its table.
-        "succ_entries",
-        # batch_control mode: destinations with exactly one successor
-        # (same tuples as ``succ_entries``) ...
-        "succ_singles",
-        # ... and multi-successor destinations coalesced into one
-        # transfer: (remote engine or None, destination structure,
-        # destination entries, names, joined names, process name, tag).
-        "succ_batches",
+        # State-update deliveries: (remote engine or None, destination
+        # structure, destination entries, process name, message tag,
+        # wire size).  Resolved lazily by :meth:`_link_entry` on first
+        # propagation, once every engine of the deployment has compiled
+        # its table.
+        "deliveries",
         # DataflowSP eager shipping, precompiled; None for WorkerSP (and
         # for producers with nothing to ship).
         "ship_plan",
@@ -150,11 +151,15 @@ class _FnDispatch:
 class WorkerEngine:
     """The decentralized engine on one worker node."""
 
-    # Spawn-name prefix for trigger handlers; DataflowSP overrides.
+    # Wire labels; DataflowSP overrides them all.  Spawn-name prefixes
+    # of trigger handlers and of local / remote deliveries, the stem of
+    # message tags and span roles (``-batch`` appended for a delivery
+    # of several entries), and the prefix of STATE_SYNC trace details.
     _run_prefix = "worker"
     _local_notify_prefix = "rpc"
     _remote_notify_prefix = "sync"
-    _state_tag_prefix = "state"
+    _sync_role = "state"
+    _sync_detail = ""
 
     def __init__(self, system: "FaaSFlowSystem", node: Node):
         self.system = system
@@ -168,7 +173,7 @@ class WorkerEngine:
             tuple[str, int],
             tuple[WorkflowStructure, dict[str, _FnDispatch]],
         ] = {}
-        self.states_synced = 0  # cross-worker state messages received
+        self.states_synced = 0  # cross-worker state entries received
         self.events_handled = 0  # engine-loop steps executed
         self.busy_time = 0.0  # seconds the engine loop was occupied
         # Crash state: while down, incoming control messages are queued
@@ -205,77 +210,69 @@ class WorkerEngine:
             # Successor fan-out is linked on first propagation: the
             # destination dispatch tables may not exist yet while this
             # engine's sub-graph is being deployed.
-            entry.succ_entries = None
-            entry.succ_singles = None
-            entry.succ_batches = None
+            entry.deliveries = None
             entries[name] = entry
         return entries
 
     def _link_entry(
         self, structure: WorkflowStructure, entry: _FnDispatch
     ) -> None:
-        """Resolve one function's fan-out to destination dispatch refs.
+        """Compile one function's fan-out into its delivery tuple.
 
         Runs once per (deployment, function), after which propagation
-        needs no dict lookups at all: each successor is a pre-resolved
-        (engine, structure, dispatch entry) triple with its process name
-        and wire tag already formatted.
+        needs no dict lookups at all: each delivery carries pre-resolved
+        (engine, structure, dispatch entries) refs, its process name,
+        wire tag and wire size.  Unbatched, every successor is a
+        delivery of one entry, in DAG order.  Under
+        ``EngineConfig.batch_control`` the successors on one destination
+        coalesce into one delivery; single-successor destinations come
+        first, then the batches, each in first-successor order.
         """
         key = (structure.workflow, structure.version)
         engines = self.system.engines
         node_name = self.node.name
+        config = self.system.config
         plain = []
         groups: dict[str, list] = {}
         for successor, target in structure.successor_targets[entry.index]:
             if target == node_name:
                 remote = None
                 dest_structure, dest_entries = self._compiled[key]
-                prefix = self._local_notify_prefix
             else:
                 remote = engines[target]
                 dest_structure, dest_entries = remote._compiled[key]
-                prefix = self._remote_notify_prefix
-            item = (
-                remote,
-                dest_structure,
-                dest_entries[successor],
-                f"{prefix}:{entry.name}->{successor}",
-                f"{self._state_tag_prefix}:{successor}",
-            )
-            plain.append(item)
+            item = (remote, dest_structure, dest_entries[successor])
+            plain.append([item])
             groups.setdefault(target, []).append(item)
-        singles = []
-        batches = []
-        for target, items in groups.items():
-            if len(items) == 1:
-                # A batch of one is the plain path: same transfer, same
-                # single engine step — batching it would only relabel it.
-                singles.append(items[0])
-                continue
-            remote = items[0][0]
-            dest_structure = items[0][1]
+        if config.batch_control:
+            # A stable sort keeps first-successor order on both sides.
+            batches = sorted(groups.values(), key=lambda items: len(items) > 1)
+        else:
+            batches = plain
+        deliveries = []
+        for items in batches:
+            remote, dest_structure, _ = items[0]
             dest_entries = tuple(item[2] for item in items)
-            names = tuple(dest.name for dest in dest_entries)
+            first = dest_entries[0].name
+            count = len(dest_entries)
             prefix = (
                 self._local_notify_prefix
                 if remote is None
                 else self._remote_notify_prefix
             )
-            batches.append(
-                (
-                    remote,
-                    dest_structure,
-                    dest_entries,
-                    names,
-                    ",".join(names),
-                    f"{prefix}:{entry.name}->[{len(items)}]",
-                    f"{self._state_tag_prefix}-batch:"
-                    f"{names[0]}+{len(items) - 1}",
-                )
+            if count == 1:
+                name = f"{prefix}:{entry.name}->{first}"
+                tag = f"{self._sync_role}:{first}"
+                size = config.state_message_size
+            else:
+                # The bytes still move: the size scales with the batch.
+                name = f"{prefix}:{entry.name}->[{count}]"
+                tag = f"{self._sync_role}-batch:{first}+{count - 1}"
+                size = config.state_message_size * count
+            deliveries.append(
+                (remote, dest_structure, dest_entries, name, tag, size)
             )
-        entry.succ_singles = tuple(singles)
-        entry.succ_batches = tuple(batches)
-        entry.succ_entries = tuple(plain)
+        entry.deliveries = tuple(deliveries)
 
     def retire(self, workflow: str, version: int) -> None:
         """Red-black support: drop an out-of-date sub-graph version."""
@@ -324,6 +321,24 @@ class WorkerEngine:
             self.busy_time += self.system.config.worker_process_time
 
     # -- state synchronization (paper Fig. 6) ---------------------------------
+    def _fire(
+        self,
+        structure: WorkflowStructure,
+        entry: _FnDispatch,
+        invocation_id: InvocationID,
+        inv: CompiledInvocation,
+        name: str,
+    ) -> None:
+        """Mark a function triggered and spawn its node-bound handler."""
+        inv.flags[entry.index] |= TRIGGERED
+        structure.note_triggered(invocation_id, entry.index)
+        self.system.spawn_registered(
+            self.run_function(structure, entry, invocation_id),
+            invocation_id,
+            node=self.node.name,
+            name=name,
+        )
+
     def _apply_state_update(
         self,
         structure: WorkflowStructure,
@@ -336,14 +351,7 @@ class WorkerEngine:
         done = inv.preds_done[index] + 1
         inv.preds_done[index] = done
         if not inv.flags[index] & TRIGGERED and done >= entry.preds_count:
-            inv.flags[index] |= TRIGGERED
-            structure.note_triggered(invocation_id, index)
-            self.system.spawn_registered(
-                self.run_function(structure, entry, invocation_id),
-                invocation_id,
-                node=self.node.name,
-                name=entry.run_name,
-            )
+            self._fire(structure, entry, invocation_id, inv, entry.run_name)
 
     def _trigger_entry(
         self,
@@ -353,15 +361,27 @@ class WorkerEngine:
     ) -> None:
         """Fire an entry function (post engine step), once."""
         inv = structure.invocation(invocation_id)
-        index = entry.index
-        if not inv.flags[index] & TRIGGERED:
-            inv.flags[index] |= TRIGGERED
-            structure.note_triggered(invocation_id, index)
-            self.system.spawn_registered(
-                self.run_function(structure, entry, invocation_id),
-                invocation_id,
-                node=self.node.name,
-                name=entry.run_name,
+        if not inv.flags[entry.index] & TRIGGERED:
+            self._fire(structure, entry, invocation_id, inv, entry.run_name)
+
+    def _defer(
+        self,
+        kind: str,
+        structure: WorkflowStructure,
+        invocation_id: InvocationID,
+        entries: Sequence[_FnDispatch],
+    ) -> None:
+        """Queue control messages that reached this engine while down.
+
+        ``kind`` is ``"update"`` or ``"trigger"``; :meth:`recover`
+        replays each entry through the matching name-based handler.
+        """
+        for entry in entries:
+            self._deferred.append(
+                (
+                    kind, structure.workflow, structure.version,
+                    invocation_id, entry.name,
+                )
             )
 
     def receive_state_update(
@@ -374,42 +394,15 @@ class WorkerEngine:
         """A predecessor of a local ``function`` finished somewhere.
 
         Name-based handler: recovery replay and external callers enter
-        here; steady-state propagation uses the pre-linked notify paths.
+        here; steady-state propagation uses the pre-linked deliveries.
         """
+        structure, entries = self._lookup(workflow, version)
+        entry = entries[function]
         if self.down:
-            self._deferred.append(
-                ("update", workflow, version, invocation_id, function)
-            )
+            self._defer("update", structure, invocation_id, (entry,))
             return
         yield from self._engine_step()
-        structure, entries = self._lookup(workflow, version)
-        self._apply_state_update(structure, entries[function], invocation_id)
-
-    def receive_state_updates(
-        self,
-        workflow: str,
-        version: int,
-        invocation_id: InvocationID,
-        functions: Sequence[str],
-    ) -> Generator:
-        """Batched control plane: one engine wakeup applies all updates.
-
-        Used only under ``EngineConfig.batch_control`` — the whole batch
-        pays a *single* engine step (one handler wakeup), which is the
-        documented divergence from the per-message default mode.
-        """
-        if self.down:
-            for function in functions:
-                self._deferred.append(
-                    ("update", workflow, version, invocation_id, function)
-                )
-            return
-        yield from self._engine_step()
-        structure, entries = self._lookup(workflow, version)
-        for function in functions:
-            self._apply_state_update(
-                structure, entries[function], invocation_id
-            )
+        self._apply_state_update(structure, entry, invocation_id)
 
     def trigger_source(
         self,
@@ -419,14 +412,13 @@ class WorkerEngine:
         function: str,
     ) -> Generator:
         """Invocation request for an entry function arrived at this node."""
+        structure, entries = self._lookup(workflow, version)
+        entry = entries[function]
         if self.down:
-            self._deferred.append(
-                ("trigger", workflow, version, invocation_id, function)
-            )
+            self._defer("trigger", structure, invocation_id, (entry,))
             return
         yield from self._engine_step()
-        structure, entries = self._lookup(workflow, version)
-        self._trigger_entry(structure, entries[function], invocation_id)
+        self._trigger_entry(structure, entry, invocation_id)
 
     # -- local execution -----------------------------------------------------
     def run_function(
@@ -539,67 +531,27 @@ class WorkerEngine:
         never leave a half-propagated function.  The spawned messages
         are registered *invocation-bound* (not node-bound) — they model
         packets already handed to the TCP stack, which survive the
-        sender's crash but die with the invocation.
+        sender's crash but die with the invocation.  A producer with a
+        ship plan (DataflowSP) first launches its eager data pushes.
         """
-        if entry.succ_entries is None:
+        if produced and entry.ship_plan is not None:
+            self._ship_outputs(structure, invocation_id, entry)
+        if entry.deliveries is None:
             self._link_entry(structure, entry)
         spawn = self.system.spawn_registered
-        if not entry.succ_entries:
+        if not entry.deliveries:
             spawn(
                 self._report_sink(structure, invocation_id, entry),
                 invocation_id,
                 name=entry.sink_name,
             )
             return
-        if self.system.config.batch_control:
-            for item in entry.succ_singles:
-                remote_engine = item[0]
-                if remote_engine is None:
-                    spawn(
-                        self._notify_local(item[1], invocation_id, item[2]),
-                        invocation_id,
-                        name=item[3],
-                    )
-                else:
-                    spawn(
-                        self._notify_remote(
-                            structure, invocation_id, item
-                        ),
-                        invocation_id,
-                        name=item[3],
-                    )
-            for batch in entry.succ_batches:
-                if batch[0] is None:
-                    spawn(
-                        self._notify_local_batch(
-                            batch[1], invocation_id, batch[2]
-                        ),
-                        invocation_id,
-                        name=batch[5],
-                    )
-                else:
-                    spawn(
-                        self._notify_remote_batch(
-                            structure, invocation_id, batch
-                        ),
-                        invocation_id,
-                        name=batch[5],
-                    )
-            return
-        for item in entry.succ_entries:
-            remote_engine = item[0]
-            if remote_engine is None:
-                spawn(
-                    self._notify_local(item[1], invocation_id, item[2]),
-                    invocation_id,
-                    name=item[3],
-                )
-            else:
-                spawn(
-                    self._notify_remote(structure, invocation_id, item),
-                    invocation_id,
-                    name=item[3],
-                )
+        for delivery in entry.deliveries:
+            spawn(
+                self._deliver(structure, invocation_id, delivery),
+                invocation_id,
+                name=delivery[3],
+            )
 
     def _report_sink(
         self,
@@ -631,154 +583,65 @@ class WorkerEngine:
             )
         self.system.sink_completed(structure.workflow, invocation_id)
 
-    def _notify_local(
-        self,
-        dest_structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        dest_entry: _FnDispatch,
-    ) -> Generator:
-        yield self.env.timeout(self.system.config.local_trigger_time)
-        if self.down:
-            self._deferred.append(
-                (
-                    "update", dest_structure.workflow,
-                    dest_structure.version, invocation_id, dest_entry.name,
-                )
-            )
-            return
-        yield from self._engine_step()
-        self._apply_state_update(dest_structure, dest_entry, invocation_id)
-
-    def _notify_local_batch(
-        self,
-        dest_structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        dest_entries: Sequence[_FnDispatch],
-    ) -> Generator:
-        """Batched local fan-out: one RPC hop, one engine wakeup."""
-        yield self.env.timeout(self.system.config.local_trigger_time)
-        if self.down:
-            for dest_entry in dest_entries:
-                self._deferred.append(
-                    (
-                        "update", dest_structure.workflow,
-                        dest_structure.version, invocation_id,
-                        dest_entry.name,
-                    )
-                )
-            return
-        yield from self._engine_step()
-        for dest_entry in dest_entries:
-            self._apply_state_update(
-                dest_structure, dest_entry, invocation_id
-            )
-
-    def _notify_remote(
+    def _deliver(
         self,
         structure: WorkflowStructure,
         invocation_id: InvocationID,
-        item: tuple,
+        delivery: tuple,
     ) -> Generator:
-        remote_engine, dest_structure, dest_entry, _, tag = item
-        system = self.system
-        sync_start = self.env.now
-        yield system.network.message(
-            self.node.nic,
-            remote_engine.node.nic,
-            system.config.state_message_size,
-            tag=tag,
-        )
-        spans = system.spans
-        if spans.enabled:
-            spans.record(
-                SpanKind.STATE_SYNC,
-                sync_start,
-                self.env.now,
-                workflow=structure.workflow,
-                invocation_id=invocation_id,
-                function=dest_entry.name,
-                node=self.node.name,
-                parent=spans.root_of(invocation_id),
-                role="state",
-                dst=remote_engine.node.name,
-            )
-        remote_engine.states_synced += 1
-        if system.tracer is not None:
-            system.trace(
-                Kind.STATE_SYNC, structure.workflow, invocation_id,
-                function=dest_entry.name, node=remote_engine.node.name,
-                detail=f"from {self.node.name}",
-            )
-        if remote_engine.down:
-            remote_engine._deferred.append(
-                (
-                    "update", structure.workflow, structure.version,
-                    invocation_id, dest_entry.name,
-                )
-            )
-            return
-        yield from remote_engine._engine_step()
-        remote_engine._apply_state_update(
-            dest_structure, dest_entry, invocation_id
-        )
+        """Deliver one state update (or one batch) to its engine.
 
-    def _notify_remote_batch(
-        self,
-        structure: WorkflowStructure,
-        invocation_id: InvocationID,
-        batch: tuple,
-    ) -> Generator:
-        """Batched remote fan-out: one transfer, one remote wakeup.
-
-        The coalesced message carries every state entry (the bytes still
-        move: size scales with the batch), but the destination engine
-        pays a single engine step for the whole batch.
+        A local delivery is an in-process RPC hop; a remote one is a
+        worker-to-worker message.  Either way the destination engine
+        pays a *single* engine step for all the entries it carries.
         """
-        remote_engine, dest_structure, dest_entries, _, joined, _, tag = batch
+        remote, dest_structure, dest_entries, _, tag, size = delivery
         system = self.system
-        sync_start = self.env.now
-        yield system.network.message(
-            self.node.nic,
-            remote_engine.node.nic,
-            system.config.state_message_size * len(dest_entries),
-            tag=tag,
-        )
-        spans = system.spans
-        if spans.enabled:
-            spans.record(
-                SpanKind.STATE_SYNC,
-                sync_start,
-                self.env.now,
-                workflow=structure.workflow,
-                invocation_id=invocation_id,
-                function=dest_entries[0].name,
-                node=self.node.name,
-                parent=spans.root_of(invocation_id),
-                role="state-batch",
-                dst=remote_engine.node.name,
-                batch=len(dest_entries),
+        if remote is None:
+            engine = self
+            yield self.env.timeout(system.config.local_trigger_time)
+        else:
+            engine = remote
+            sync_start = self.env.now
+            yield system.network.message(
+                self.node.nic, remote.node.nic, size, tag=tag
             )
-        remote_engine.states_synced += len(dest_entries)
-        if system.tracer is not None:
-            system.trace(
-                Kind.STATE_SYNC, structure.workflow, invocation_id,
-                function=joined, node=remote_engine.node.name,
-                detail=f"batch from {self.node.name}",
-            )
-        if remote_engine.down:
-            for dest_entry in dest_entries:
-                remote_engine._deferred.append(
-                    (
-                        "update", structure.workflow, structure.version,
-                        invocation_id, dest_entry.name,
-                    )
+            count = len(dest_entries)
+            spans = system.spans
+            if spans.enabled:
+                if count == 1:
+                    role, extra = self._sync_role, {}
+                else:
+                    role = f"{self._sync_role}-batch"
+                    extra = {"batch": count}
+                spans.record(
+                    SpanKind.STATE_SYNC,
+                    sync_start,
+                    self.env.now,
+                    workflow=structure.workflow,
+                    invocation_id=invocation_id,
+                    function=dest_entries[0].name,
+                    node=self.node.name,
+                    parent=spans.root_of(invocation_id),
+                    role=role,
+                    dst=remote.node.name,
+                    **extra,
                 )
+            remote.states_synced += count
+            if system.tracer is not None:
+                batch = "" if count == 1 else "batch "
+                system.trace(
+                    Kind.STATE_SYNC, structure.workflow, invocation_id,
+                    function=",".join([dest.name for dest in dest_entries]),
+                    node=remote.node.name,
+                    detail=f"{self._sync_detail}{batch}from {self.node.name}",
+                )
+        if engine.down:
+            engine._defer("update", dest_structure, invocation_id, dest_entries)
             return
-        yield from remote_engine._engine_step()
+        yield from engine._engine_step()
         for dest_entry in dest_entries:
-            remote_engine._apply_state_update(
-                dest_structure, dest_entry, invocation_id
-            )
+            engine._apply_state_update(dest_structure, dest_entry, invocation_id)
 
     # -- crash and recovery ---------------------------------------------------
     def fail(self) -> list[tuple[str, int, InvocationID, str]]:
@@ -841,13 +704,9 @@ class WorkerEngine:
         inv = structure.invocation(invocation_id)
         if inv.flags[entry.index] & (TRIGGERED | EXECUTED):
             return False  # a replayed control message beat us to it
-        inv.flags[entry.index] |= TRIGGERED
-        structure.note_triggered(invocation_id, entry.index)
-        self.system.spawn_registered(
-            self.run_function(structure, entry, invocation_id),
-            invocation_id,
-            node=self.node.name,
-            name=f"retrigger:{self.node.name}:{function}",
+        self._fire(
+            structure, entry, invocation_id, inv,
+            f"retrigger:{self.node.name}:{function}",
         )
         return True
 
@@ -895,6 +754,8 @@ class FaaSFlowSystem:
         self._deployed: dict[tuple[str, int], _DeployedWorkflow] = {}
         self._current_version: dict[str, int] = {}
         self._contexts: dict[InvocationID, _InvocationContext] = {}
+        # workflow -> telemetry tenant label (see :meth:`tenant_of`).
+        self._tenants: dict[str, str] = {}
         self.node_crashes = 0
         self.retriggered = 0
         # Serving-lifecycle gauges: current and peak concurrent
@@ -1169,12 +1030,7 @@ class FaaSFlowSystem:
                 dst=engine.node.name,
             )
         if engine.down:
-            engine._deferred.append(
-                (
-                    "trigger", structure.workflow, structure.version,
-                    invocation_id, entry.name,
-                )
-            )
+            engine._defer("trigger", structure, invocation_id, (entry,))
             return
         yield from engine._engine_step()
         engine._trigger_entry(structure, entry, invocation_id)
@@ -1186,10 +1042,7 @@ class FaaSFlowSystem:
         serving harnesses may register per-workflow owners through
         :meth:`set_tenants` for per-tenant rollups.
         """
-        tenants = getattr(self, "_tenants", None)
-        if tenants is not None:
-            return tenants.get(workflow, self.config.tenant)
-        return self.config.tenant
+        return self._tenants.get(workflow, self.config.tenant)
 
     def set_tenants(self, tenants: dict[str, str]) -> None:
         self._tenants = dict(tenants)

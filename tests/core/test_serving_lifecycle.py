@@ -22,9 +22,11 @@ from repro.core import (
     FaultPlan,
     HyperFlowServerlessSystem,
     NodeCrash,
+    Placement,
     hash_partition,
 )
 from repro.core.state import EXECUTED, TRIGGERED, reset_invocation_ids
+from repro.core.tracing import Tracer
 from repro.metrics import InvocationStatus
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 
@@ -231,8 +233,6 @@ class TestBatchedControlPlane:
         assignment = {"head": "worker-0", "tail": "worker-0"}
         for i in range(3):
             assignment[f"b{i}"] = "worker-1"
-        from repro.core import Placement
-
         system.deploy(
             dag, Placement(workflow=dag.name, assignment=assignment)
         )
@@ -260,23 +260,101 @@ class TestBatchedControlPlane:
         # 2 control messages fewer, 20 invocations, both engines.
         assert batch_messages == plain_messages - 2 * 20
 
-    def test_single_successor_destinations_never_batch(self):
-        """A batch of one is the plain path: a pure chain's control
-        traffic is identical with batching on."""
-        reset_invocation_ids(1)
-        plain_records, plain_messages = self._run_chain(batch=False)
-        reset_invocation_ids(1)
-        batch_records, batch_messages = self._run_chain(batch=True)
-        assert batch_messages == plain_messages
-        assert [r.status for r in batch_records] == [
-            r.status for r in plain_records
+    @pytest.mark.parametrize("engine", ["worker", "dataflow"])
+    def test_single_successor_destinations_never_batch(self, engine):
+        """A batch of one is the plain path, byte for byte: a pure
+        chain's network ledger (tags included) and every invocation's
+        timestamps are identical with batching on."""
+        plain_records, plain_ledger = self._run_chain(engine, batch=False)
+        batch_records, batch_ledger = self._run_chain(engine, batch=True)
+        assert batch_ledger == plain_ledger
+        assert any(row.tag.startswith(("state:", "token:")) for row in plain_ledger)
+        assert [
+            (r.invocation_id, r.status, r.started_at, r.finished_at)
+            for r in batch_records
+        ] == [
+            (r.invocation_id, r.status, r.started_at, r.finished_at)
+            for r in plain_records
         ]
 
-    def _run_chain(self, batch):
+    def _run_chain(self, engine, batch):
+        reset_invocation_ids(1)
         cluster = make_cluster(workers=2)
-        system = make_system("worker", cluster, batch_control=batch)
+        system = make_system(engine, cluster, batch_control=batch)
         dag = linear_dag(n=4, service_time=0.05, output_size=0.0)
         system.deploy(dag, hash_partition(dag, cluster.worker_names()))
         records = run_closed_loop(system, "lin", 10)
         drain(cluster.env)
-        return records, cluster.network.message_count
+        return records, list(cluster.network.records)
+
+
+class TestBatchedDeliveryUnderCrash:
+    """A batch that reaches a crashed engine is deferred whole and
+    replayed on recovery: every invocation still ends exactly once, and
+    no process or deferred message outlives the run."""
+
+    CRASHED = "worker-1"
+    RECOVERY = 0.5
+
+    def _run(self, engine, head, crash_at=None):
+        reset_invocation_ids(1)
+        cluster = make_cluster(workers=2)
+        system = make_system(engine, cluster, batch_control=True)
+        system.tracer = Tracer()
+        # The 3-wide head -> b0..b2 fan-out always lands on worker-1:
+        # one remote batch from worker-0, one local batch from worker-1.
+        dag = fanout_dag(branches=3, output_size=0.0)
+        assignment = {"head": head, "tail": "worker-0"}
+        for i in range(3):
+            assignment[f"b{i}"] = self.CRASHED
+        system.deploy(
+            dag, Placement(workflow=dag.name, assignment=assignment)
+        )
+        deferred_while_down = []
+        if crash_at is not None:
+            plan = FaultPlan(
+                node_crashes=(
+                    NodeCrash(
+                        node=self.CRASHED, at=crash_at, recovery=self.RECOVERY
+                    ),
+                )
+            )
+            FaultDriver(cluster, plan).attach(system).start()
+            crashed = system.engines[self.CRASHED]
+            cluster.env.schedule_at(
+                crash_at + self.RECOVERY / 2
+            ).callbacks.append(
+                lambda _: deferred_while_down.append(list(crashed._deferred))
+            )
+        records = run_closed_loop(system, dag.name, 3)
+        drain(cluster.env)
+        return system, records, deferred_while_down
+
+    @pytest.mark.parametrize("head", ["worker-0", "worker-1"])
+    @pytest.mark.parametrize("engine", ["worker", "dataflow"])
+    def test_deferred_batch_replays_on_recovery(self, engine, head):
+        dry, _, _ = self._run(engine, head)
+        # Crash while invocation 1's fan-out is on the wire / RPC hop:
+        # well inside both the 1.5 ms local hop and the message latency.
+        crash_at = dry.tracer.execution_time(1, "head") + 1e-4
+        system, records, deferred_while_down = self._run(
+            engine, head, crash_at
+        )
+        # The whole batch was deferred, one entry per branch.
+        ((deferred,),) = [deferred_while_down]
+        assert sorted(item[4] for item in deferred) == ["b0", "b1", "b2"]
+        assert {item[0] for item in deferred} == {"update"}
+        assert {item[3] for item in deferred} == {1}
+        # Every invocation reached exactly one terminal status.
+        assert [r.invocation_id for r in records] == [1, 2, 3]
+        assert all(r.status == InvocationStatus.OK for r in records)
+        assert all(r.finished_at is not None for r in records)
+        # Each branch of each invocation ran exactly once.
+        for invocation_id in (1, 2, 3):
+            assert system.tracer.execution_counts(invocation_id) == {
+                "head": 1, "b0": 1, "b1": 1, "b2": 1, "tail": 1,
+            }
+        assert system.registry.live_count == 0
+        for eng in system.engines.values():
+            assert eng._deferred == []
+        assert system.engines[self.CRASHED].crash_count == 1
