@@ -147,23 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         "experiments build (and for fig_scale's network cells, sharded "
         "or not) and write *-telemetry.json files to DIR",
     )
-    parser.add_argument(
-        "--scheduler",
-        choices=["heap", "wheel"],
-        default=None,
-        help="kernel event-queue implementation for every environment "
-        "the experiments build, including --jobs and shard workers: "
-        "heap (default) or wheel (faster on timer-heavy runs, "
-        "bit-identical results)",
-    )
     args = parser.parse_args(argv)
-    if args.scheduler:
-        # Process-wide default: every Environment this process (and its
-        # worker children, which inherit the OS environment) constructs
-        # resolves it.
-        from ..sim import set_default_scheduler
-
-        set_default_scheduler(args.scheduler)
     collector = None
     if args.trace_out or args.telemetry_out:
         from ..obs.context import TraceCollector, activate

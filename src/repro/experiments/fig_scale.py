@@ -31,6 +31,7 @@ __all__ = [
     "run",
     "drive_network_sharded",
     "make_plan",
+    "named_plan",
     "DEFAULT_NODES",
     "DEFAULT_FLOWS",
 ]
@@ -72,6 +73,20 @@ def make_plan(
     return plan
 
 
+def named_plan(nodes: int, flows: int, **plan_kwargs) -> tuple[list, list]:
+    """:func:`make_plan` with node names: ``(plan, node_names)``.
+
+    Entries are ``(at, src, dst, size)`` over nodes ``n0 .. n{nodes-1}``,
+    the form :mod:`repro.sim.shard` runs.
+    """
+    plan = make_plan(nodes, flows, **plan_kwargs)
+    names = [f"n{i}" for i in range(nodes)]
+    return (
+        [(at, f"n{src}", f"n{dst}", size) for at, src, dst, size in plan],
+        names,
+    )
+
+
 def drive_network_sharded(
     nodes: int,
     flows: int,
@@ -94,14 +109,10 @@ def drive_network_sharded(
     """
     from ..sim.shard import run_network_sharded
 
-    plan = make_plan(
+    abs_plan, names = named_plan(
         nodes, flows, seed=seed,
         group_size=group_size, hotspot_fraction=hotspot_fraction,
     )
-    names = [f"n{i}" for i in range(nodes)]
-    abs_plan = [
-        (at, f"n{src}", f"n{dst}", size) for at, src, dst, size in plan
-    ]
     start = time.perf_counter()
     result = run_network_sharded(
         abs_plan, names, shards, bandwidth=bandwidth, telemetry=telemetry

@@ -96,7 +96,6 @@ def run_workflow(
     telemetry_out: str | Path | None = None,
     collect_telemetry: bool = False,
     tenant: str = "default",
-    kernel_scheduler: str | None = None,
 ) -> RunSummary:
     """Run ``dag`` and return a summary of what happened.
 
@@ -110,15 +109,10 @@ def run_workflow(
     ``collect_telemetry`` collects the same snapshot without writing,
     returning it as ``summary.telemetry`` — the form sharded trial
     cells use, merged deterministically in cell order afterwards.
-
-    ``kernel_scheduler`` selects the event-queue implementation for the
-    simulation environment (``"heap"``/``"wheel"``; ``None`` resolves
-    the process-wide ``FAASFLOW_SCHEDULER`` default).  Every summary
-    field and record is bit-identical under either scheduler.
     """
     if engine not in ("worker", "master", "dataflow"):
         raise ValueError("engine must be 'worker', 'master', or 'dataflow'")
-    env = Environment(scheduler=kernel_scheduler)
+    env = Environment()
     cluster = Cluster(
         env,
         ClusterConfig(workers=workers, storage_bandwidth=bandwidth_mb * MB),
@@ -432,19 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         "--tenant", default="default",
         help="tenant label on telemetry and SLO reports (default 'default')",
     )
-    parser.add_argument(
-        "--scheduler", choices=["heap", "wheel"], default=None,
-        help="kernel event-queue implementation: heap (default) or "
-        "wheel (O(1) calendar queue; faster on timer-heavy runs, "
-        "bit-identical results)",
-    )
     args = parser.parse_args(argv)
-    if args.scheduler:
-        # Process-wide default so --jobs pool children (which inherit
-        # the OS environment) pick it up too.
-        from .sim import set_default_scheduler
-
-        set_default_scheduler(args.scheduler)
     try:
         dag = _load_dag(args.workflow)
     except WDLError as error:
@@ -466,7 +448,6 @@ def main(argv: list[str] | None = None) -> int:
         eager_ship=not args.no_eager_ship,
         batch_control=args.batch_control,
         tenant=args.tenant,
-        kernel_scheduler=args.scheduler,
     )
     if args.trials > 1:
         if args.trace_out:

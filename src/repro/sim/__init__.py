@@ -19,15 +19,6 @@ from .kernel import (
     Timeout,
 )
 from .network import KB, MB, NIC, Network, NetworkConfig, TransferRecord
-from .sched import (
-    SCHEDULERS,
-    HeapScheduler,
-    Scheduler,
-    WheelScheduler,
-    make_scheduler,
-    resolve_scheduler_name,
-    set_default_scheduler,
-)
 from .resources import (
     CPUAllocator,
     MemoryAccount,
@@ -74,13 +65,6 @@ __all__ = [
     "Process",
     "RemoteKVStore",
     "Resource",
-    "SCHEDULERS",
-    "Scheduler",
-    "HeapScheduler",
-    "WheelScheduler",
-    "make_scheduler",
-    "resolve_scheduler_name",
-    "set_default_scheduler",
     "SimulationError",
     "StopProcess",
     "StorageStats",

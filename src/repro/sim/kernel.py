@@ -7,6 +7,12 @@ as Python generator functions that ``yield`` events; the
 :class:`Environment` advances a virtual clock and resumes each process
 when the event it waits on fires.
 
+The event queue is one binary heap of ``(when, eid, event)`` entries,
+dispatched by one loop in :meth:`Environment.run` (and one event at a
+time by :meth:`Environment.step`).  Cancelled timeouts stay queued as
+tombstones and are dropped unprocessed; the heap is compacted once they
+make up most of it.
+
 Example
 -------
 >>> env = Environment()
@@ -23,7 +29,7 @@ Example
 from __future__ import annotations
 
 import sys
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 # CPython refcount introspection lets ``step()`` prove that a processed
@@ -34,6 +40,12 @@ _getrefcount = getattr(sys, "getrefcount", None)
 # Upper bound on each per-environment free-list; beyond this, processed
 # objects are left for the garbage collector as usual.
 _POOL_CAP = 128
+
+# Cancelled timers the queue tolerates before it considers compacting
+# (see ``Environment._note_cancelled_timer``).
+TIMER_COMPACTION_THRESHOLD = 64
+
+_INF = float("inf")
 
 __all__ = [
     "Environment",
@@ -161,6 +173,11 @@ class Event:
         return f"<{type(self).__name__} {state[self._state]} at t={self.env.now}>"
 
 
+# What ``run`` stops on when ``until`` is not an event: never processed.
+_NO_STOP = Event.__new__(Event)
+_NO_STOP._state = PENDING
+
+
 class Timeout(Event):
     """An event that fires after a fixed delay."""
 
@@ -169,8 +186,8 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         # Born triggered: initialize every slot directly rather than
         # paying for Event.__init__ and then overwriting half of it.
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
+            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
         self.env = env
         self.callbacks = []
         self._state = TRIGGERED
@@ -183,11 +200,7 @@ class Timeout(Event):
         # half), and the extra call level is measurable at millions of
         # timers per run.
         env._eid += 1
-        queue = env._queue
-        if queue is not None:
-            heappush(queue, (env._now + delay, env._eid, self))
-        else:
-            env._sched_insert(env._now + delay, env._eid, self)
+        heappush(env._queue, (env._now + delay, env._eid, self))
 
     @property
     def cancelled(self) -> bool:
@@ -198,13 +211,11 @@ class Timeout(Event):
 
         The queue entry becomes a *tombstone*: it is dropped unprocessed
         — no callback invocation, and the simulation clock never
-        advances to its deadline.  Under the heap scheduler the entry
-        usually stays queued until its scheduled time surfaces (and is
-        compacted out in bulk when tombstones come to dominate the
-        queue); under the wheel scheduler tombstones are dropped
-        bucket-locally when their bucket is loaded.  Either way the
-        observable simulation — clock, callback order, final drain time
-        — is identical.  This is for timers that get superseded before
+        advances to its deadline.  The entry usually stays queued until
+        its scheduled time surfaces, and is compacted out in bulk when
+        tombstones come to dominate the queue; either way the observable
+        simulation — clock, callback order, final drain time — is the
+        same.  This is for timers that get superseded before
         they fire (the network's completion wake-up, a container's
         keep-alive expiry, an invocation's execution watchdog).  The
         caller is responsible for not cancelling a timeout some process
@@ -500,20 +511,15 @@ class Process(Event):
 class Environment:
     """Holds the event queue and the simulation clock.
 
-    ``scheduler`` selects the priority structure behind the queue (see
-    :mod:`repro.sim.sched`): ``"heap"`` (the default binary heap),
-    ``"wheel"`` (a calendar-queue timer wheel with O(1) amortized
-    insert and bucket-local tombstone dropping), a factory callable, or
-    ``None`` to resolve the process-wide ``FAASFLOW_SCHEDULER`` default.
-    Both schedulers realize the exact same ``(when, eid)`` total order,
-    so every observable simulation result is bit-identical either way.
+    The queue is a binary heap (``heapq`` on the plain list ``_queue``)
+    of ``(when, eid, event)`` entries.  ``eid`` is a monotonically
+    increasing tie-breaker, so same-instant entries fire in creation
+    order and tuple comparison never reaches the event object.
     """
 
     __slots__ = (
         "_now",
         "_queue",
-        "_sched",
-        "_sched_insert",
         "_eid",
         "_active_process",
         "_crashed",
@@ -525,24 +531,15 @@ class Environment:
         "_settled",
     )
 
-    def __init__(self, initial_time: float = 0.0, scheduler=None):
-        from .sched import HeapScheduler, make_scheduler
-
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._crashed: list[tuple[Process, BaseException]] = []
         self._cancelled_timers = 0
-        self._sched = make_scheduler(self, scheduler)
-        # The heap's backing list is aliased as ``_queue`` so the inlined
-        # dispatch loops (and the hot factories below) keep using
-        # C-level heappush/heappop directly.  Under the wheel ``_queue``
-        # is None, inserts go through the pre-bound ``_sched_insert``, and
-        # dispatch runs the wheel-inlined loop (``_run_wheel``).
-        self._queue: Optional[list[tuple[float, int, Event]]] = (
-            self._sched.heap if type(self._sched) is HeapScheduler else None
-        )
-        self._sched_insert = self._sched.insert
+        # Never rebound: compaction filters it in place, because run()
+        # holds a local alias while it dispatches.
+        self._queue: list[tuple[float, int, Event]] = []
         # Free-lists for the two hottest allocations: Timeout events
         # (recycled only once provably unreferenced) and kernel-internal
         # _Resume entries (never escape, always recycled).
@@ -550,10 +547,11 @@ class Environment:
         self._resume_pool: list[_Resume] = []
         # In-place continuation state (see _can_continue): whether the
         # running callback is the last one of the event being
-        # dispatched, the event ``run(until=event)`` stops on, and the
-        # event settled in place during the current process segment.
+        # dispatched, the event ``run(until=event)`` stops on (``_NO_STOP``
+        # otherwise), and the event settled in place during the current
+        # process segment.
         self._tail = True
-        self._stop: Optional[Event] = None
+        self._stop: Event = _NO_STOP
         self._settled: Optional[Event] = None
 
     # -- clock -------------------------------------------------------
@@ -566,19 +564,9 @@ class Environment:
         return self._active_process
 
     @property
-    def scheduler(self):
-        """The live :class:`~repro.sim.sched.Scheduler` instance."""
-        return self._sched
-
-    @property
-    def scheduler_name(self) -> str:
-        """Name of the active scheduler (``"heap"`` or ``"wheel"``)."""
-        return self._sched.name
-
-    @property
     def queued_events(self) -> int:
         """Entries queued, including cancelled-but-queued tombstones."""
-        return len(self._sched)
+        return len(self._queue)
 
     # -- event factories ----------------------------------------------
     def event(self) -> Event:
@@ -587,19 +575,15 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
+            if not delay >= 0:
+                raise SimulationError(f"timeout delay must be >= 0, got {delay}")
             event = pool.pop()
             event._state = TRIGGERED
             event._ok = True
             event._value = value
             event.delay = delay
             self._eid += 1
-            queue = self._queue
-            if queue is not None:
-                heappush(queue, (self._now + delay, self._eid, event))
-            else:
-                self._sched_insert(self._now + delay, self._eid, event)
+            heappush(self._queue, (self._now + delay, self._eid, event))
             return event
         return Timeout(self, delay, value)
 
@@ -614,10 +598,10 @@ class Environment:
         exact times (a traffic cell fires its slice of a plan at the
         same timestamps as one environment running all of it), and the
         network model uses it for flow-completion timers.  ``when`` must
-        not be in the past.
+        not be in the past (or NaN).
         """
         when = float(when)
-        if when < self._now:
+        if not when >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={when}, clock already at {self._now}"
             )
@@ -637,14 +621,7 @@ class Environment:
             event._cancelled = False
         event.delay = when - self._now
         self._eid += 1
-        queue = self._queue
-        if queue is not None:
-            heappush(queue, (when, self._eid, event))
-        else:
-            # The scheduler receives ``when`` exactly as named — the
-            # wheel carries full keys in its buckets, so the
-            # exact-timestamp contract holds under either scheduler.
-            self._sched_insert(when, self._eid, event)
+        heappush(self._queue, (when, self._eid, event))
         return event
 
     def process(
@@ -661,11 +638,7 @@ class Environment:
     # -- scheduling ----------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._eid += 1
-        queue = self._queue
-        if queue is not None:
-            heappush(queue, (self._now + delay, self._eid, event))
-        else:
-            self._sched_insert(self._now + delay, self._eid, event)
+        heappush(self._queue, (self._now + delay, self._eid, event))
 
     def _schedule_resume(
         self, callback: Callable[[Any], None], ok: bool, value: Any
@@ -684,11 +657,7 @@ class Environment:
         else:
             entry = _Resume(callback, ok, value)
         self._eid += 1
-        queue = self._queue
-        if queue is not None:
-            heappush(queue, (self._now, self._eid, entry))
-        else:
-            self._sched_insert(self._now, self._eid, entry)
+        heappush(self._queue, (self._now, self._eid, entry))
 
     def _can_continue(self) -> bool:
         """Whether a continuation may run in place instead of hopping.
@@ -697,9 +666,10 @@ class Environment:
         only when it would be the very next dispatch, which takes three
         things:
 
-        (a) nothing is queued at the current instant (the head of the
-            queue lies in the future; a cancelled timer at the head
-            counts as queued, which only makes the answer conservative);
+        (a) nothing is queued at the current instant: the heap is empty
+            or its head lies in the future (a cancelled timer at the
+            head counts as queued, which only makes the answer
+            conservative);
         (b) the running callback is the last callback of the event
             being dispatched;
         (c) the event being dispatched is not the one ``run(until=...)``
@@ -709,19 +679,10 @@ class Environment:
         yielding an already-processed event (``Process._resume``) and
         an event settled in place (``_settle_in_place``).
         """
-        if not self._tail:
+        if not self._tail or self._stop._state == PROCESSED:
             return False
-        stop = self._stop
-        if stop is not None and stop._state == PROCESSED:
-            return False
-        now = self._now
         queue = self._queue
-        if queue is not None:
-            return not queue or queue[0][0] > now
-        sched = self._sched
-        near = sched._near
-        cur = sched._cur
-        return not (near and near[0][0] <= now) and not (cur and cur[-1][0] <= now)
+        return not queue or queue[0][0] > self._now
 
     def _settle_in_place(self, event: Event, value: Any) -> bool:
         """Mark a fresh, callback-free ``event`` processed with ``value``.
@@ -775,16 +736,32 @@ class Environment:
             self._settled = settled
 
     def _note_cancelled_timer(self) -> None:
-        """Bookkeeping hook for :meth:`Timeout.cancel`.
+        """Bookkeeping hook for :meth:`Timeout.cancel`: compaction.
 
-        Delegates to the scheduler: the heap rebuilds itself without
-        tombstones once they pass ``TIMER_COMPACTION_THRESHOLD`` AND
-        make up more than half of the queue; the wheel drops tombstones
-        bucket-locally and treats this as a no-op.
+        Long-deadline watchdogs that are cancelled on every completion
+        (one 60 s execution timeout per invocation, say) would otherwise
+        stay queued for their full nominal delay and make the heap grow
+        with throughput instead of with live work.  Once the cancelled
+        population reaches ``TIMER_COMPACTION_THRESHOLD`` AND makes up
+        at least half of the queue, the heap is rebuilt without them.
         """
         self._cancelled_timers += 1
-        if self._sched.note_cancelled(self._cancelled_timers):
-            self._cancelled_timers = 0
+        count = self._cancelled_timers
+        queue = self._queue
+        if count < TIMER_COMPACTION_THRESHOLD or count * 2 < len(queue):
+            return
+        keep = []
+        for entry in queue:
+            event = entry[2]
+            if type(event) is Timeout and event._cancelled:
+                self._retire_cancelled(event)
+                self._recycle(event)
+            else:
+                keep.append(entry)
+        heapify(keep)
+        # In place: run() holds a local alias of the queue.
+        queue[:] = keep
+        self._cancelled_timers = 0
 
     def _retire_cancelled(self, event: Timeout) -> None:
         """Retire a cancelled timer dropped without being dispatched.
@@ -804,13 +781,24 @@ class Environment:
         """Time of the next event that will actually fire, or ``inf``.
 
         Lazily-cancelled timeouts parked at the head of the queue are
-        retired on the way (the scheduler owns the skip): they would
-        otherwise make ``peek`` report a time at which nothing
-        observable happens, and a drained environment would look busy
-        forever.  Callers use it to step a simulation to its next real
-        event or to test whether anything is left to run.
+        retired on the way: they would otherwise make ``peek`` report a
+        time at which nothing observable happens, and a drained
+        environment would look busy forever.  Callers use it to step a
+        simulation to its next real event or to test whether anything
+        is left to run.
         """
-        return self._sched.peek()
+        queue = self._queue
+        while queue:
+            when, _, event = queue[0]
+            if type(event) is Timeout and event._cancelled:
+                heappop(queue)
+                self._retire_cancelled(event)
+                # Separate call so the refcount proof sees exactly one
+                # caller frame holding the event (see _recycle).
+                self._recycle(event)
+                continue
+            return when
+        return _INF
 
     def step(self) -> None:
         """Process the next live event; raises if the queue is empty.
@@ -820,15 +808,14 @@ class Environment:
         tombstones they are all retired and the call returns without
         processing anything.
         """
-        sched = self._sched
-        if not len(sched):
+        queue = self._queue
+        if not queue:
             raise SimulationError("no scheduled events")
         while True:
-            try:
-                when, _, event = sched.pop()
-            except IndexError:
+            if not queue:
                 # The queue held only tombstones; all retired.
                 return
+            when, _, event = heappop(queue)
             if type(event) is Timeout and event._cancelled:
                 self._retire_cancelled(event)
                 self._recycle(event)
@@ -877,78 +864,40 @@ class Environment:
 
         Cancelled tombstones are dropped without running callbacks and
         without advancing the clock, so the observable clock trajectory
-        (including the final ``now`` after a full drain) is identical
-        under every scheduler and independent of compaction timing.
+        (including the final ``now`` after a full drain) is independent
+        of compaction timing.
         """
         # A callback or crash that raised out of an earlier run may have
         # left the in-place state of its dispatch behind.
         self._tail = True
-        self._stop = None
-        queue = self._queue
-        if queue is None:
-            return self._run_wheel(until)
+        self._stop = _NO_STOP
+        if isinstance(until, Event):
+            stop = until
+            deadline = _INF
+            if not stop.processed:
+                # run() is a waiter: a failure of the awaited event is
+                # handled (re-raised below), not an unhandled crash.
+                stop.callbacks.append(lambda _event: None)
+            # Nothing continues in place while the stop event dispatches
+            # (see _can_continue): that work belongs after the return.
+            self._stop = stop
+        else:
+            stop = _NO_STOP
+            deadline = _INF if until is None else float(until)
+            if deadline < self._now:
+                # Deadline already in the past: never rewind the clock.
+                return None
         # The dispatch body below is step() inlined (including the
         # tombstone drop and free-list recycling) — the per-event
         # method-call overhead is measurable at millions of events per
-        # run.  Keep the copies in sync with step()/_recycle() and
-        # _run_wheel().
+        # run.  Keep it in sync with step()/_recycle().
+        queue = self._queue
         crashed = self._crashed
         resume_pool = self._resume_pool
         timeout_pool = self._timeout_pool
-        if isinstance(until, Event):
-            stop_event = until
-            if not stop_event.processed:
-                # run() is a waiter: a failure of the awaited event is
-                # handled (re-raised below), not an unhandled crash.
-                stop_event.callbacks.append(lambda _event: None)
-            # Nothing continues in place while the stop event dispatches
-            # (see _can_continue): that work belongs after the return.
-            self._stop = stop_event
-            while stop_event._state != PROCESSED:
-                if not queue:
-                    raise SimulationError(
-                        "event queue drained before the awaited event fired"
-                    )
-                when, _, event = heappop(queue)
-                cls = type(event)
-                if cls is Timeout and event._cancelled:
-                    event._cancelled = False
-                    event._state = PROCESSED
-                    event.callbacks.clear()
-                    self._cancelled_timers -= 1
-                    if (
-                        _getrefcount is not None
-                        and len(timeout_pool) < _POOL_CAP
-                        and _getrefcount(event) == 2  # loop local + getrefcount arg
-                    ):
-                        timeout_pool.append(event)
-                    continue
-                self._now = when
-                event._process_callbacks()
-                if crashed:
-                    process, error = crashed.pop()
-                    raise SimulationError(
-                        f"process {process.name!r} crashed at t={self._now}"
-                    ) from error
-                if cls is _Resume:
-                    if len(resume_pool) < _POOL_CAP:
-                        resume_pool.append(event)
-                elif (
-                    cls is Timeout
-                    and _getrefcount is not None
-                    and len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
-                ):
-                    timeout_pool.append(event)
-            self._stop = None
-            if stop_event.ok:
-                return stop_event._value
-            raise stop_event._value
-        deadline = float("inf") if until is None else float(until)
-        if deadline < self._now:
-            # Deadline already in the past: never rewind the clock.
-            return None
-        while queue and queue[0][0] <= deadline:
+        while stop._state != PROCESSED:
+            if not queue or queue[0][0] > deadline:
+                break
             when, _, event = heappop(queue)
             cls = type(event)
             if cls is Timeout and event._cancelled:
@@ -980,139 +929,15 @@ class Environment:
                 and _getrefcount(event) == 2  # loop local + getrefcount arg
             ):
                 timeout_pool.append(event)
-        if deadline != float("inf"):
-            self._now = deadline
-        return None
-
-    def _run_wheel(self, until: Optional[float | Event]) -> Any:
-        """The ``run`` dispatch loop with the wheel's hot path inlined.
-
-        Mirrors the inlined heap loops in :meth:`run`: head selection
-        (active-bucket tail vs. near-heap minimum) happens right here
-        instead of through two scheduler method calls per event — at
-        millions of events per run the calls alone cost more than the
-        extraction.  Bucket refills still go through
-        ``WheelScheduler._load_next`` (amortized: once per bucket, not
-        per event).  The ``_cur``/``_near`` lists are stable objects
-        filled in place, so the local aliases below stay valid across
-        refills.  Keep in sync with step()/_recycle() and the wheel's
-        own pop().
-        """
-        sched = self._sched
-        cur = sched._cur
-        near = sched._near
-        load_next = sched._load_next
-        crashed = self._crashed
-        resume_pool = self._resume_pool
-        timeout_pool = self._timeout_pool
-        if isinstance(until, Event):
-            stop_event = until
-            if not stop_event.processed:
-                stop_event.callbacks.append(lambda _event: None)
-            self._stop = stop_event
-            while stop_event._state != PROCESSED:
-                # Head select: tail of the sorted active bucket unless
-                # the near heap holds something earlier.  No lingering
-                # entry-tuple locals — the refcount proofs below need
-                # the key tuple gone by the time they run.
-                if cur:
-                    if near and near[0] < cur[-1]:
-                        when, _, event = heappop(near)
-                    else:
-                        when, _, event = cur.pop()
-                elif near:
-                    when, _, event = heappop(near)
-                else:
-                    if not load_next():
-                        raise SimulationError(
-                            "event queue drained before the awaited event fired"
-                        )
-                    continue
-                cls = type(event)
-                if cls is Timeout and event._cancelled:
-                    event._cancelled = False
-                    event._state = PROCESSED
-                    event.callbacks.clear()
-                    self._cancelled_timers -= 1
-                    if (
-                        _getrefcount is not None
-                        and len(timeout_pool) < _POOL_CAP
-                        and _getrefcount(event) == 2  # loop local + getrefcount arg
-                    ):
-                        timeout_pool.append(event)
-                    continue
-                self._now = when
-                event._process_callbacks()
-                if crashed:
-                    process, error = crashed.pop()
-                    raise SimulationError(
-                        f"process {process.name!r} crashed at t={self._now}"
-                    ) from error
-                if cls is _Resume:
-                    if len(resume_pool) < _POOL_CAP:
-                        resume_pool.append(event)
-                elif (
-                    cls is Timeout
-                    and _getrefcount is not None
-                    and len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
-                ):
-                    timeout_pool.append(event)
-            self._stop = None
-            if stop_event.ok:
-                return stop_event._value
-            raise stop_event._value
-        deadline = float("inf") if until is None else float(until)
-        if deadline < self._now:
+        if stop is _NO_STOP:
+            if deadline != _INF:
+                self._now = deadline
             return None
-        while True:
-            if cur:
-                if near and near[0] < cur[-1]:
-                    if near[0][0] > deadline:
-                        break
-                    when, _, event = heappop(near)
-                else:
-                    if cur[-1][0] > deadline:
-                        break
-                    when, _, event = cur.pop()
-            elif near:
-                if near[0][0] > deadline:
-                    break
-                when, _, event = heappop(near)
-            else:
-                if not load_next():
-                    break
-                continue
-            cls = type(event)
-            if cls is Timeout and event._cancelled:
-                event._cancelled = False
-                event._state = PROCESSED
-                event.callbacks.clear()
-                self._cancelled_timers -= 1
-                if (
-                    _getrefcount is not None
-                    and len(timeout_pool) < _POOL_CAP
-                    and _getrefcount(event) == 2  # loop local + getrefcount arg
-                ):
-                    timeout_pool.append(event)
-                continue
-            self._now = when
-            event._process_callbacks()
-            if crashed:
-                process, error = crashed.pop()
-                raise SimulationError(
-                    f"process {process.name!r} crashed at t={self._now}"
-                ) from error
-            if cls is _Resume:
-                if len(resume_pool) < _POOL_CAP:
-                    resume_pool.append(event)
-            elif (
-                cls is Timeout
-                and _getrefcount is not None
-                and len(timeout_pool) < _POOL_CAP
-                and _getrefcount(event) == 2  # loop local + getrefcount arg
-            ):
-                timeout_pool.append(event)
-        if deadline != float("inf"):
-            self._now = deadline
-        return None
+        self._stop = _NO_STOP
+        if stop._state != PROCESSED:
+            raise SimulationError(
+                "event queue drained before the awaited event fired"
+            )
+        if stop.ok:
+            return stop._value
+        raise stop._value

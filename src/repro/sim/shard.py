@@ -40,6 +40,7 @@ from .network import MB, Network, NetworkConfig
 
 __all__ = [
     "traffic_cells",
+    "split_plan",
     "run_network_single",
     "run_network_sharded",
     "run_workflow_cells",
@@ -103,23 +104,39 @@ def traffic_cells(
     return cells
 
 
+def split_plan(
+    plan: Sequence[tuple], node_names: Sequence[str], shards: int
+) -> list[tuple[list[tuple], list[str]]]:
+    """``(plan slice, cell nodes)`` for each of :func:`traffic_cells`.
+
+    Each slice keeps the plan's order; ``shards=1`` is one cell holding
+    the whole plan and every node.
+    """
+    cells = [list(node_names)] if shards == 1 else traffic_cells(
+        plan, node_names, shards
+    )
+    cell_of = {name: index for index, cell in enumerate(cells) for name in cell}
+    slices: list[list[tuple]] = [[] for _ in cells]
+    for entry in plan:
+        slices[cell_of[entry[1]]].append(entry)
+    return list(zip(slices, cells))
+
+
 def run_network_single(
     plan: Sequence[tuple],
     node_names: Sequence[str],
     bandwidth: float = 100 * MB,
     net_kwargs: Optional[dict] = None,
     telemetry: bool = False,
-    scheduler: Optional[str] = None,
 ) -> dict:
     """Run a transfer plan in one environment (also one traffic cell).
 
     ``plan`` entries are ``(at, src, dst, size)`` with absolute start
     times and node *names*; each start is scheduled with
     :meth:`Environment.schedule_at`, so a group's events carry the same
-    timestamps in any environment that runs it — under either kernel
-    scheduler.
+    timestamps in any environment that runs it.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     net = Network(env, NetworkConfig(**(net_kwargs or {})))
     registry = None
     if telemetry:
@@ -162,11 +179,10 @@ def run_network_sharded(
     bandwidth: float = 100 * MB,
     net_kwargs: Optional[dict] = None,
     telemetry: bool = False,
-    scheduler: Optional[str] = None,
 ) -> dict:
     """Run a transfer plan as up to ``shards`` traffic cells.
 
-    The plan is split by :func:`traffic_cells`; every cell runs
+    The plan is split by :func:`split_plan`; every cell runs
     :func:`run_network_single` on its own nodes and plan slice in a
     worker process.  Results merge in cell order: records sorted,
     ``nic_bytes`` unioned in ``node_names`` order, makespan as the
@@ -176,24 +192,18 @@ def run_network_sharded(
     disjoint and the merge equals the single-environment snapshot.
     One cell is the single-environment run itself.
     """
-    cells = [list(node_names)] if shards == 1 else traffic_cells(
-        plan, node_names, shards
-    )
-    if len(cells) == 1:
+    parts = split_plan(plan, node_names, shards)
+    if len(parts) == 1:
         return run_network_single(
-            plan, node_names, bandwidth, net_kwargs, telemetry, scheduler
+            plan, node_names, bandwidth, net_kwargs, telemetry
         )
     from ..parallel import ParallelRunner
 
-    cell_of = {name: index for index, cell in enumerate(cells) for name in cell}
-    slices: list[list[tuple]] = [[] for _ in cells]
-    for entry in plan:
-        slices[cell_of[entry[1]]].append(entry)
-    results = ParallelRunner(len(cells)).starmap(
+    results = ParallelRunner(len(parts)).starmap(
         run_network_single,
         [
-            (part, cell, bandwidth, net_kwargs, telemetry, scheduler)
-            for part, cell in zip(slices, cells)
+            (part, cell, bandwidth, net_kwargs, telemetry)
+            for part, cell in parts
         ],
     )
     nic_bytes = {}
@@ -204,7 +214,7 @@ def run_network_sharded(
         **{key: sum(r[key] for r in results) for key in _NETWORK_TOTALS},
         "nic_bytes": {name: nic_bytes[name] for name in node_names},
         "makespan": max(result["makespan"] for result in results),
-        "cells": len(cells),
+        "cells": len(parts),
         "telemetry": None,
     }
     if telemetry:

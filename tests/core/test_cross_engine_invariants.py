@@ -4,8 +4,8 @@ The three engines differ in *when* and *where* things happen — master
 loop vs serialized worker loop vs parallel token handlers — but they
 must agree on *what* happened: the same functions execute exactly once,
 the FaaStore ends every run drained, the latency decomposition sums
-exactly, and every one of those facts is bit-identical across kernel
-scheduler implementations and shard counts.
+exactly, and every one of those facts is bit-identical across repeated
+runs and shard counts.
 """
 
 import pytest
@@ -25,7 +25,6 @@ from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 from .conftest import MB, fanout_dag
 
 ENGINES = ("master", "worker", "dataflow")
-SCHEDULERS = ("heap", "wheel")
 SYSTEM_CLASSES = {
     "worker": FaaSFlowSystem,
     "dataflow": DataflowSystem,
@@ -36,14 +35,14 @@ def drain(env):
     env.run(until=env.now)
 
 
-def _run(engine, scheduler="heap", invocations=3, ship_data=True):
+def _run(engine, invocations=3, ship_data=True):
     """One full run of the reference fan-out on one engine; every
     engine sees the same DAG, the same hash placement, the same
     closed-loop client, and the same invocation-id range."""
     from repro.core.state import reset_invocation_ids
 
     reset_invocation_ids(1)
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     cluster = Cluster(
         env,
         ClusterConfig(
@@ -72,11 +71,10 @@ def _run(engine, scheduler="heap", invocations=3, ship_data=True):
 
 
 class TestSameWorkEverywhere:
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_every_engine_executes_the_same_functions(self, scheduler):
+    def test_every_engine_executes_the_same_functions(self):
         expected = None
         for engine in ENGINES:
-            _, _, _, tracer, records, dag = _run(engine, scheduler)
+            _, _, _, tracer, records, dag = _run(engine)
             assert all(r.status == InvocationStatus.OK for r in records)
             executed = {
                 r.invocation_id: tracer.execution_counts(r.invocation_id)
@@ -155,16 +153,16 @@ class TestExactSumBreakdown:
 
 class TestDeterminism:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_bit_identical_across_schedulers(self, engine):
-        def fingerprint(scheduler):
-            _, _, _, _, records, _ = _run(engine, scheduler)
+    def test_bit_identical_across_runs(self, engine):
+        def fingerprint():
+            _, _, _, _, records, _ = _run(engine)
             return [
                 (r.invocation_id, r.started_at, r.finished_at, r.status,
                  r.cold_starts, r.retries)
                 for r in records
             ]
 
-        assert fingerprint("heap") == fingerprint("wheel")
+        assert fingerprint() == fingerprint()
 
     def test_dataflow_cells_bit_identical_across_shard_counts(self):
         """The cell path (``run_trials``) must not perturb DataflowSP

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.kernel import (
     AllOf,
@@ -364,12 +366,10 @@ class TestDeterminism:
         assert trace() == trace()
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
 class TestUnwatchedExit:
     """A process nobody waits on completes in place, off the queue."""
 
-    def test_unwatched_exit_leaves_no_queue_entry(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_unwatched_exit_leaves_no_queue_entry(self, env):
 
         def quick(env):
             return 7
@@ -380,8 +380,7 @@ class TestUnwatchedExit:
         assert proc.processed and proc.ok and proc.value == 7
         assert env.queued_events == 0
 
-    def test_late_waiter_gets_value_in_same_timestep(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_late_waiter_gets_value_in_same_timestep(self, env):
         seen = []
 
         def child(env):
@@ -399,8 +398,7 @@ class TestUnwatchedExit:
         env.run()
         assert seen == [(1.0, "done")]
 
-    def test_unwatched_crash_still_raises(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_unwatched_crash_still_raises(self, env):
 
         def crasher(env):
             yield env.timeout(1.0)
@@ -410,3 +408,121 @@ class TestUnwatchedExit:
         with pytest.raises(SimulationError) as info:
             env.run()
         assert isinstance(info.value.__cause__, KeyError)
+
+
+class TestEventQueue:
+    """The heap's total order, exact injection, and tombstone handling."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        times=st.lists(
+            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+            min_size=1,
+            max_size=120,
+        ),
+        at_mask=st.lists(st.booleans(), min_size=1, max_size=120),
+    )
+    def test_same_timestamp_events_fire_in_eid_order(self, times, at_mask):
+        # Duplicate roughly half the times so ties are common, and mix
+        # relative (timeout) with absolute (schedule_at) scheduling.
+        times = times + times[: len(times) // 2]
+        env = Environment()
+        fired = []
+        for tag, when in enumerate(times):
+            if at_mask[tag % len(at_mask)]:
+                event = env.schedule_at(when)
+            else:
+                event = env.timeout(when)
+            event.callbacks.append(lambda _e, t=tag: fired.append(t))
+        env.run()
+        assert sorted(fired) == list(range(len(times)))
+        # Time order overall; ties fire in eid (creation) order.
+        assert [(times[t], t) for t in fired] == sorted(
+            (when, t) for t, when in enumerate(times)
+        )
+
+    def test_schedule_at_exact_injection(self, env):
+        """Events injected at exact absolute timestamps (how transfer
+        plans start their flows) interleave correctly with local timers
+        scheduled before and after them."""
+        fired = []
+        env.timeout(2.0).callbacks.append(lambda _e: fired.append("local-2"))
+        env.schedule_at(1.5).callbacks.append(lambda _e: fired.append("inj-1.5"))
+        env.schedule_at(2.0).callbacks.append(lambda _e: fired.append("inj-2a"))
+        env.timeout(2.0).callbacks.append(lambda _e: fired.append("local-2b"))
+        env.schedule_at(2.0).callbacks.append(lambda _e: fired.append("inj-2c"))
+        env.run()
+        # t=2.0 ties resolve strictly by creation (eid) order.
+        assert fired == ["inj-1.5", "local-2", "inj-2a", "local-2b", "inj-2c"]
+        assert env.now == 2.0
+
+    def test_final_drain_time_ignores_tombstones(self, env):
+        env.timeout(1.0)
+        late = env.timeout(50.0)
+        late.cancel()
+        env.run()
+        assert env.now == 1.0
+
+    def test_step_and_until_event_paths(self, env):
+        fired = []
+        env.timeout(1.0).callbacks.append(lambda _e: fired.append("a"))
+        target = env.timeout(2.0)
+        env.timeout(3.0).callbacks.append(lambda _e: fired.append("late"))
+        env.step()
+        assert fired == ["a"] and env.now == 1.0
+        env.run(until=target)
+        assert env.now == 2.0 and fired == ["a"]
+        with pytest.raises(SimulationError, match="drained"):
+            env.run(until=env.event())
+
+    def test_negative_times_rejected(self, env):
+        env.timeout(1.0)
+        env.run()
+        assert env._timeout_pool  # the next timeout() takes the pooled path
+        with pytest.raises(SimulationError, match=">= 0"):
+            env.timeout(-0.5)
+
+    def test_unschedulable_time_rejected(self, env):
+        nan = float("nan")
+        with pytest.raises(SimulationError, match=">= 0"):
+            env.timeout(nan)
+        with pytest.raises(SimulationError, match="cannot schedule"):
+            env.schedule_at(nan)
+        assert env.queued_events == 0
+
+
+class TestTimeoutPooling:
+    """_POOL_CAP recycling proves sole ownership before reusing a timeout."""
+
+    def test_referenced_timeout_never_recycled(self, env):
+        held = env.timeout(1.0)  # the test keeps this reference
+        env.run()
+        assert not env._timeout_pool or env._timeout_pool[0] is not held
+        # A later timeout must be a fresh object, not `held` reused.
+        fresh = env.timeout(1.0)
+        assert fresh is not held
+
+    def test_unreferenced_timeouts_are_pooled_and_reused(self, env):
+        for _ in range(10):
+            env.timeout(0.5)
+        env.run()
+        assert len(env._timeout_pool) == 10
+        before = list(env._timeout_pool)
+        again = env.timeout(0.5)
+        assert again is before[-1]  # LIFO reuse from the free-list
+
+    def test_cancelled_unreferenced_timeouts_are_pooled(self, env):
+        for _ in range(8):
+            env.timeout(5.0).cancel()
+        env.timeout(6.0)
+        env.run()
+        # Tombstones dropped at pop still reach the free-list.
+        assert len(env._timeout_pool) == 9
+
+    def test_held_cancelled_timeout_not_pooled(self, env):
+        held = env.timeout(5.0)
+        held.cancel()
+        env.timeout(6.0)
+        env.run()
+        assert held not in env._timeout_pool
+        assert held.processed and not held.cancelled

@@ -14,8 +14,8 @@ def test_cancelled_timeout_callbacks_never_run():
     env.run()
     assert fired == []
     # Tombstones never advance the clock: the final drain time is the
-    # last *live* event's time (here: nothing), identically under every
-    # scheduler and independent of compaction timing.
+    # last *live* event's time (here: nothing), independent of
+    # compaction timing.
     assert env.now == 0.0
 
 
@@ -85,9 +85,8 @@ def test_negative_delay_still_rejected():
 def test_cancelled_watchdogs_are_compacted_out_of_the_heap():
     """Long timers cancelled long before their deadline must not make
     the heap grow with throughput: past a threshold the environment
-    rebuilds the queue without them.  (Heap-specific: the wheel drops
-    tombstones bucket-locally instead of compacting globally.)"""
-    env = Environment(scheduler="heap")
+    rebuilds the queue without them."""
+    env = Environment()
     for _ in range(500):
         watchdog = env.timeout(60.0)
         watchdog.cancel()

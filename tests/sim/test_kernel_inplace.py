@@ -7,7 +7,7 @@ The kernel now skips that hop when it would be the very next dispatch
 (``Environment._can_continue``).  These tests pin that the skip never
 changes what the simulation does: the property test compares every
 trace against the same program with the guard forced to refuse, which
-is exactly the old hop path.  Each test runs under both schedulers.
+is exactly the old hop path.
 """
 
 from contextlib import nullcontext
@@ -27,18 +27,14 @@ from repro.sim.resources import CPUAllocator, MemoryAccount
 from repro.sim.storage import RemoteKVStore
 from repro.sim.sync import Resource
 
-SCHEDULERS = ["heap", "wheel"]
-
-
 def _forced_hops():
     """The guard refusing every continuation: today's hop path."""
     return patch.object(Environment, "_can_continue", lambda self: False)
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
 class TestInPlaceSites:
-    def test_processed_yield_loops_without_recursion(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_processed_yield_loops_without_recursion(self):
+        env = Environment()
         done = env.event()
         done.succeed("v")
         env.run()
@@ -59,8 +55,8 @@ class TestInPlaceSites:
         # Only the bootstrap hop was queued: every resume ran in place.
         assert env._eid - before == 1
 
-    def test_uncontended_request_is_granted_in_place(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_uncontended_request_is_granted_in_place(self):
+        env = Environment()
         res = Resource(env, capacity=1)
         log = []
 
@@ -76,8 +72,8 @@ class TestInPlaceSites:
         assert log == [True, (0.0, True)]
         assert res.in_use == 0
 
-    def test_request_outside_a_process_is_queued(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_request_outside_a_process_is_queued(self):
+        env = Environment()
         res = Resource(env, capacity=1)
         req = res.request()
         assert not req.processed
@@ -85,8 +81,8 @@ class TestInPlaceSites:
         env.run()
         assert req.processed
 
-    def test_in_place_cpu_grant_credits_usage(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_in_place_cpu_grant_credits_usage(self):
+        env = Environment()
         cpu = CPUAllocator(env, cores=2)
 
         def job(env):
@@ -101,8 +97,8 @@ class TestInPlaceSites:
         assert cpu.usage.peak == 2.0
         assert cpu.average_usage() == pytest.approx(1.0)
 
-    def test_free_kv_slot_still_runs_put_and_get_callbacks(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_free_kv_slot_still_runs_put_and_get_callbacks(self):
+        env = Environment()
         net = Network(env, NetworkConfig(latency=0.0, message_threshold=0.0))
         store_nic = net.attach("storage", 10 * MB)
         worker_nic = net.attach("worker-0", 100 * MB)
@@ -125,8 +121,8 @@ class TestInPlaceSites:
         ]
         assert store.stats.puts == 1 and store.stats.gets == 1
 
-    def test_run_until_event_stops_before_later_continuations(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_run_until_event_stops_before_later_continuations(self):
+        env = Environment()
         stop = env.timeout(1.0)
         done = env.event()
         done.succeed()
@@ -146,13 +142,13 @@ class TestInPlaceSites:
         env.run()
         assert log == ["woken", "continued"]
 
-    def test_request_then_same_instant_work_keeps_grant_order(self, scheduler):
+    def test_request_then_same_instant_work_keeps_grant_order(self):
         # The grant settled in place stands for the first entry at this
         # instant, so work queued between the request and its yield
         # still runs after the continuation, as with the queued grant.
         traces = []
         for forced in (False, True):
-            env = Environment(scheduler=scheduler)
+            env = Environment()
             res = Resource(env, capacity=1)
             log = []
 
@@ -176,8 +172,8 @@ class TestInPlaceSites:
         assert traces[0] == traces[1]
         assert traces[0][0] == ("granted", 0.0)
 
-    def test_warm_acquire_is_handed_over_in_place(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_warm_acquire_is_handed_over_in_place(self):
+        env = Environment()
         pool = _pool(env, max_per_function=1)
         got = []
 
@@ -196,14 +192,13 @@ class TestInPlaceSites:
         assert got == [True, True]
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
 class TestEagerSpawn:
-    def _system(self, scheduler):
-        cluster = Cluster(Environment(scheduler=scheduler), ClusterConfig(workers=2))
+    def _system(self):
+        cluster = Cluster(Environment(), ClusterConfig(workers=2))
         return FaaSFlowSystem(cluster, EngineConfig(ship_data=False))
 
-    def test_sees_itself_active_and_restores_spawner(self, scheduler):
-        system = self._system(scheduler)
+    def test_sees_itself_active_and_restores_spawner(self):
+        system = self._system()
         env = system.env
         seen = {}
 
@@ -224,8 +219,8 @@ class TestEagerSpawn:
         assert seen["after"] is me
         assert env.active_process is None
 
-    def test_first_segment_runs_at_spawn_time(self, scheduler):
-        system = self._system(scheduler)
+    def test_first_segment_runs_at_spawn_time(self):
+        system = self._system()
         env = system.env
         log = []
 
@@ -242,8 +237,8 @@ class TestEagerSpawn:
         env.run()
         assert log == [("child", 0.5), ("spawner", 0.5)]
 
-    def test_cancel_invocation_interrupts_it(self, scheduler):
-        system = self._system(scheduler)
+    def test_cancel_invocation_interrupts_it(self):
+        system = self._system()
         env = system.env
         log = []
 
@@ -298,8 +293,8 @@ _PROGRAM = st.lists(
 )
 
 
-def _run_program(scheduler, program, stop_on_first):
-    env = Environment(scheduler=scheduler)
+def _run_program(program, stop_on_first):
+    env = Environment()
     r1 = Resource(env, capacity=1)
     r2 = CPUAllocator(env, cores=2)
     pool = _pool(env)
@@ -384,13 +379,12 @@ def _run_program(scheduler, program, stop_on_first):
     return trace, outcome, env._eid
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULERS)
 @settings(max_examples=150, deadline=None)
 @given(program=_PROGRAM, stop_on_first=st.booleans())
-def test_in_place_trace_matches_forced_hops(scheduler, program, stop_on_first):
-    fast = _run_program(scheduler, program, stop_on_first)
+def test_in_place_trace_matches_forced_hops(program, stop_on_first):
+    fast = _run_program(program, stop_on_first)
     with _forced_hops():
-        slow = _run_program(scheduler, program, stop_on_first)
+        slow = _run_program(program, stop_on_first)
     assert fast[0] == slow[0]
     assert fast[1] == slow[1]
     # Skipped hops are the only difference: never more queue entries.

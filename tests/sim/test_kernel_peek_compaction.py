@@ -4,7 +4,7 @@
 surfaces or compaction sweeps it), which used to let ``peek()`` report a
 time that would never fire.  Any caller that steps to the next real
 event or treats ``peek() == inf`` as "drained" would then wait on a
-timer that never fires.  These tests pin the repaired contract, plus the heap's
+timer that never fires.  These tests pin the repaired contract, plus the kernel's
 ``TIMER_COMPACTION_THRESHOLD`` and its behavior under container
 keep-alive churn (the workload that generates cancelled timers by the
 hundreds).
@@ -12,7 +12,7 @@ hundreds).
 
 import random
 
-from repro.sim import sched
+from repro.sim import kernel
 from repro.sim.container import ContainerPool, ContainerSpec
 from repro.sim.kernel import Environment
 from repro.sim.resources import CPUAllocator, MemoryAccount
@@ -90,16 +90,12 @@ class TestPeekSkipsCancelled:
 
 
 class TestCompactionThreshold:
-    """``TIMER_COMPACTION_THRESHOLD`` is heap-only: the wheel scheduler
-    drops tombstones bucket-locally and never compacts, so these tests
-    pin ``scheduler="heap"`` explicitly."""
-
     def test_default_threshold(self):
-        assert sched.TIMER_COMPACTION_THRESHOLD == 64
+        assert kernel.TIMER_COMPACTION_THRESHOLD == 64
 
     def test_low_threshold_compacts_early(self, monkeypatch):
-        monkeypatch.setattr(sched, "TIMER_COMPACTION_THRESHOLD", 1)
-        env = Environment(scheduler="heap")
+        monkeypatch.setattr(kernel, "TIMER_COMPACTION_THRESHOLD", 1)
+        env = Environment()
         timers = [env.timeout(float(t + 1)) for t in range(4)]
         timers[0].cancel()
         # 1 cancelled out of 4 queued: below the half-queue rule.
@@ -110,7 +106,7 @@ class TestCompactionThreshold:
         assert env._cancelled_timers == 0
 
     def test_high_threshold_defers_compaction(self):
-        env = Environment(scheduler="heap")
+        env = Environment()
         timers = [env.timeout(float(t + 1)) for t in range(4)]
         timers[0].cancel()
         timers[1].cancel()
@@ -153,9 +149,7 @@ class TestKeepAliveChurn:
         env.run()
 
     def test_queue_stays_bounded_default_threshold(self):
-        # Heap-specific bound: the wheel parks tombstones in far-future
-        # buckets (dropped in bulk at load) instead of sweeping early.
-        env = Environment(scheduler="heap")
+        env = Environment()
         pool = _make_pool(env)
         max_queue = [0]
         self._churn(env, pool, max_queue)
@@ -163,12 +157,12 @@ class TestKeepAliveChurn:
         # ~400 cancels happened; without compaction the heap would peak
         # near CYCLES entries.  With it, the peak stays around the
         # threshold plus the handful of live events.
-        assert max_queue[0] <= 2 * sched.TIMER_COMPACTION_THRESHOLD + 8
+        assert max_queue[0] <= 2 * kernel.TIMER_COMPACTION_THRESHOLD + 8
         assert env.peek() == INF or env.peek() > env.now
 
     def test_tighter_threshold_means_tighter_bound(self, monkeypatch):
-        monkeypatch.setattr(sched, "TIMER_COMPACTION_THRESHOLD", 8)
-        env = Environment(scheduler="heap")
+        monkeypatch.setattr(kernel, "TIMER_COMPACTION_THRESHOLD", 8)
+        env = Environment()
         pool = _make_pool(env)
         max_queue = [0]
         self._churn(env, pool, max_queue)
@@ -180,8 +174,8 @@ class TestKeepAliveChurn:
         identical whatever the sweep cadence."""
         finals = []
         for threshold in (1, 8, 64, 10_000):
-            monkeypatch.setattr(sched, "TIMER_COMPACTION_THRESHOLD", threshold)
-            env = Environment(scheduler="heap")
+            monkeypatch.setattr(kernel, "TIMER_COMPACTION_THRESHOLD", threshold)
+            env = Environment()
             pool = _make_pool(env)
             self._churn(env, pool, [0])
             finals.append(

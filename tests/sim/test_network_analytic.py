@@ -65,8 +65,7 @@ def test_replay_is_deterministic():
     assert out1["records"] == out2["records"]
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-def test_timer_retires_only_its_own_component(scheduler):
+def test_timer_retires_only_its_own_component():
     """A flow finishing on n2->n3 must not settle and retire the 30 MB
     n1->n0 flow that happens to be within its eps band at that instant:
     the 30 MB flow ends at its own finish time, with or without the
@@ -83,11 +82,9 @@ def test_timer_retires_only_its_own_component(scheduler):
         (row,) = [r for r in records if r[2] == 30.0 * MB]
         return row[4]
 
-    alone = run_network_single(base, names, scheduler=scheduler)
-    single = run_network_single(base + [unrelated], names, scheduler=scheduler)
-    split = run_network_sharded(
-        base + [unrelated], names, 2, scheduler=scheduler
-    )
+    alone = run_network_single(base, names)
+    single = run_network_single(base + [unrelated], names)
+    split = run_network_sharded(base + [unrelated], names, 2)
     assert split["cells"] == 2
     assert finish_of_big(alone["records"]) == 0.905
     assert finish_of_big(single["records"]) == 0.905

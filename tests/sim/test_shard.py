@@ -251,17 +251,11 @@ class TestAnySplitIsExact:
     @given(
         _grouped_plans(),
         st.integers(min_value=1, max_value=8),
-        st.sampled_from(["heap", "wheel"]),
     )
-    @example(_CROSS_COMPONENT_TIMER, 2, "heap")
-    @example(_CROSS_COMPONENT_TIMER, 2, "wheel")
-    def test_split_matches_single(self, grouped, shards, scheduler):
+    @example(_CROSS_COMPONENT_TIMER, 2)
+    def test_split_matches_single(self, grouped, shards):
         plan, names = grouped
-        single = run_network_single(
-            plan, names, telemetry=True, scheduler=scheduler
-        )
-        split = run_network_sharded(
-            plan, names, shards, telemetry=True, scheduler=scheduler
-        )
+        single = run_network_single(plan, names, telemetry=True)
+        split = run_network_sharded(plan, names, shards, telemetry=True)
         assert 1 <= split["cells"] <= shards
         _assert_exact(split, single)

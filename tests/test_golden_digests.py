@@ -11,10 +11,9 @@ streams with SHA-256:
 Floats enter the hash through ``float.hex``, so a change in the last bit
 of any simulated timestamp changes the digest.  One digest per cell is
 committed in ``golden_digests.json``, and every variant of a cell must
-hash to it: the heap and the wheel kernel schedulers, and one and two
-shards.  Engine cells shard at cell granularity (as ``run_trials``
-runs them: cells spread over worker processes); the network cell also
-splits its plan into two traffic cells.
+hash to it: one and two shards.  Engine cells shard at cell granularity
+(as ``run_trials`` runs them: cells spread over worker processes); the
+network cell also splits its plan into two traffic cells.
 
 A change that alters simulated behaviour on purpose regenerates the file
 and says why in its commit::
@@ -52,7 +51,6 @@ from repro.experiments.fig_scale import drive_network_sharded
 from repro.obs.telemetry import MetricsRegistry
 from repro.parallel import ParallelRunner
 from repro.sim import MB, Cluster, ClusterConfig, ContainerSpec, Environment
-from repro.sim.sched import DEFAULT_SCHEDULER_ENV
 from repro.workloads import build, chain, diamond, fan, tree
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -269,14 +267,11 @@ def golden() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())["digests"]
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-def test_cells_match_golden_digests(scheduler, golden, monkeypatch):
-    monkeypatch.setenv(DEFAULT_SCHEDULER_ENV, scheduler)
+def test_cells_match_golden_digests(golden):
     assert all_digests() == golden
 
 
-def test_two_shards_match_golden_digests(golden, monkeypatch):
-    monkeypatch.setenv(DEFAULT_SCHEDULER_ENV, "heap")
+def test_two_shards_match_golden_digests(golden):
     assert all_digests(shards=2) == golden
 
 
