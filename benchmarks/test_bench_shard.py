@@ -20,7 +20,10 @@ reported separately: ``split_gain_vs_single`` (single-process wall over
 serial-cells wall: smaller cells are cheaper per flow, since an event's
 cost grows with the flows active in its environment) and
 ``speedup_vs_serial_cells`` (serial-cells wall over sharded wall: what
-the worker processes add).
+the worker processes add).  Each round times the three runs of one
+shard count back to back, so each ratio is taken within a round; the
+bench records every round's ratios (``*_per_round``) and reports their
+median.
 
 Run directly (``python benchmarks/test_bench_shard.py``) to refresh the
 committed ``BENCH_shard.json``; pass ``--quick`` for the small sweep the
@@ -40,7 +43,7 @@ from repro.experiments.fig_scale import drive_network_sharded, named_plan
 from repro.sim.shard import run_network_single, split_plan
 
 _HERE = Path(__file__).resolve().parent
-_ROUNDS = 2
+_ROUNDS = 5
 # Acceptance gate (full mode only): S=4 must at least halve the
 # single-process wall clock on a 100+ node cell.
 _TARGET_S4_SPEEDUP = 2.0
@@ -65,29 +68,36 @@ def _serial_cells_wall(nodes: int, flows: int, shards: int) -> float:
     return time.perf_counter() - start
 
 
+def _median(values: list[float]) -> float:
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _measure(cells, shard_counts, rounds: int = _ROUNDS):
+    """Time single, sharded and serial-cells runs back to back.
+
+    Each round measures the three walls of one shard count one right
+    after another, so host drift over minutes cannot leak into their
+    ratios; the ratios are taken per round and reported with their
+    median over the rounds.
+    """
     results = []
     for nodes, flows in cells:
-        # Baseline and exactness reference: the single-process run.
-        reference = drive_network_sharded(
+        # Exactness reference: the single-process run's records.
+        ref_records = drive_network_sharded(
             nodes, flows, 1, collect_records=True
-        )
-        ref_records = reference["records"]
-        single_wall = reference["wall_seconds"]
-        for _ in range(rounds - 1):
-            single_wall = min(
-                single_wall,
-                drive_network_sharded(nodes, flows, 1)["wall_seconds"],
-            )
-
+        )["records"]
         cell = {
             "nodes": nodes,
             "flows": flows,
             "events": 2 * flows,
-            "single_wall_seconds": round(single_wall, 6),
             "records_identical": True,
             "sharded": {},
         }
+        singles = []
         for shards in shard_counts:
             first = drive_network_sharded(
                 nodes, flows, shards, collect_records=True
@@ -97,26 +107,53 @@ def _measure(cells, shard_counts, rounds: int = _ROUNDS):
                     f"sharded run diverged from the single-process run "
                     f"at nodes={nodes} flows={flows} shards={shards}"
                 )
-            wall = first["wall_seconds"]
-            for _ in range(rounds - 1):
-                wall = min(
-                    wall,
+            walls = {"single": [], "sharded": [], "serial": []}
+            for _ in range(rounds):
+                walls["single"].append(
+                    drive_network_sharded(nodes, flows, 1)["wall_seconds"]
+                )
+                walls["sharded"].append(
                     drive_network_sharded(nodes, flows, shards)[
                         "wall_seconds"
-                    ],
+                    ]
                 )
-            serial = min(
-                _serial_cells_wall(nodes, flows, shards)
-                for _ in range(rounds)
-            )
-            cell["sharded"][str(shards)] = {
-                "wall_seconds": round(wall, 6),
-                "speedup_vs_single": round(single_wall / wall, 3),
-                "serial_cells_wall_seconds": round(serial, 6),
-                "split_gain_vs_single": round(single_wall / serial, 3),
-                "speedup_vs_serial_cells": round(serial / wall, 3),
-                "cells": first["cells"],
+                walls["serial"].append(
+                    _serial_cells_wall(nodes, flows, shards)
+                )
+            singles += walls["single"]
+            ratios = {
+                "speedup_vs_single": [
+                    single / sharded
+                    for single, sharded in zip(
+                        walls["single"], walls["sharded"]
+                    )
+                ],
+                "split_gain_vs_single": [
+                    single / serial
+                    for single, serial in zip(walls["single"], walls["serial"])
+                ],
+                "speedup_vs_serial_cells": [
+                    serial / sharded
+                    for serial, sharded in zip(
+                        walls["serial"], walls["sharded"]
+                    )
+                ],
             }
+            entry = {
+                "wall_seconds": round(_median(walls["sharded"]), 6),
+                "single_wall_seconds": round(_median(walls["single"]), 6),
+                "serial_cells_wall_seconds": round(
+                    _median(walls["serial"]), 6
+                ),
+            }
+            for name, per_round in ratios.items():
+                entry[name] = round(_median(per_round), 3)
+                entry[f"{name}_per_round"] = [
+                    round(ratio, 3) for ratio in per_round
+                ]
+            entry["cells"] = first["cells"]
+            cell["sharded"][str(shards)] = entry
+        cell["single_wall_seconds"] = round(_median(singles), 6)
         results.append(cell)
     return results
 
@@ -171,7 +208,9 @@ def main(argv=None) -> int:
     aggregate = _aggregate(results)
     payload = {
         "bench": "sharded cluster simulation vs single-process (wall clock "
-        f"per sweep cell, best of {rounds} round(s))",
+        f"per sweep cell; {rounds} round(s), each timing the single, "
+        "sharded and serial-cells runs back to back; ratios are the "
+        "median of the per-round ratios)",
         "baseline": "single-process run (fig_scale.drive_network_sharded "
         "with shards=1), also the exactness reference; serial cells: the "
         "sharded run's traffic cells run one after another in one process",

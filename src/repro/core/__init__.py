@@ -39,7 +39,6 @@ from .scheduler import (
     update_edge_weights,
 )
 from .switching import is_skipped, selected_case
-from .tracing import Kind, TraceEvent, Tracer
 from .state import (
     FunctionInfo,
     FunctionState,
@@ -97,9 +96,6 @@ __all__ = [
     "RemoteStorePolicy",
     "SchedulerReport",
     "static_critical_exec",
-    "TraceEvent",
-    "Tracer",
-    "Kind",
     "update_edge_weights",
     "WorkerEngine",
     "WorkflowStructure",

@@ -13,6 +13,7 @@ functions over an in-process RPC.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -127,8 +128,8 @@ class EngineConfig:
         ):
             if getattr(self, attr) < 0:
                 raise ValueError(f"{attr} must be >= 0")
-        if self.execution_timeout <= 0:
-            raise ValueError("execution_timeout must be > 0")
+        if not 0 < self.execution_timeout < math.inf:
+            raise ValueError("execution_timeout must be finite and > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.retry_backoff_base < 0:
@@ -151,7 +152,7 @@ class EngineConfig:
                 UserWarning,
                 stacklevel=2,
             )
-        if self.function_timeout < 0:
-            raise ValueError("function_timeout must be >= 0")
+        if not 0 <= self.function_timeout < math.inf:
+            raise ValueError("function_timeout must be finite and >= 0")
         if self.service_time_jitter < 0:
             raise ValueError("service_time_jitter must be >= 0")

@@ -58,7 +58,6 @@ class DataflowEngine(WorkerEngine):
     _local_notify_prefix = "token"
     _remote_notify_prefix = "token"
     _sync_role = "token"
-    _sync_detail = "token "
 
     def __init__(self, system: "DataflowSystem", node: Node):
         super().__init__(system, node)

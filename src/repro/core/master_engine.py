@@ -46,11 +46,9 @@ from .faults import (
 from .runtime import FunctionRuntime
 from .switching import is_skipped
 from .state import (
-    InvocationID,
     Placement,
     new_invocation_id,
 )
-from .tracing import Kind, Tracer
 
 __all__ = ["HyperFlowServerlessSystem"]
 
@@ -111,13 +109,11 @@ class HyperFlowServerlessSystem:
         policy: Optional[DataPolicy] = None,
         metrics: Optional[MetricsCollector] = None,
         master: Optional[Node] = None,
-        tracer: Optional[Tracer] = None,
         faults: Optional[FaultInjector] = None,
     ):
         self.cluster = cluster
         self.env = cluster.env
         self.config = config or EngineConfig()
-        self.tracer = tracer
         self.spans = cluster.spans
         self.telemetry = cluster.telemetry
         self.metrics = metrics if metrics is not None else MetricsCollector()
@@ -220,8 +216,6 @@ class HyperFlowServerlessSystem:
         if self.in_flight > self.peak_in_flight:
             self.peak_in_flight = self.in_flight
 
-        if self.tracer is not None:
-            self.trace(Kind.INVOCATION_START, workflow, invocation_id)
         if self.spans.enabled:
             self.spans.start_invocation(
                 invocation_id, workflow=workflow, mode=self.mode
@@ -260,26 +254,16 @@ class HyperFlowServerlessSystem:
             # in the kernel heap.
             timeout.cancel()
         if record.status != InvocationStatus.OK:
-            cancelled = self.registry.cancel_invocation(
+            self.registry.cancel_invocation(
                 invocation_id,
                 CancelCause(CancelKind.INVOCATION_ABORT, detail=record.status),
             )
-            if cancelled:
-                self.trace(
-                    Kind.CANCELLED, workflow, invocation_id,
-                    detail=f"{cancelled} process(es)",
-                )
         self.registry.release_invocation(invocation_id)
         self.policy.cleanup_invocation(registered.dag, invocation_id)
         self.metrics.record_invocation(record)
         if self.telemetry.enabled:
             record_invocation_metrics(
                 self.telemetry, record, self.tenant_of(workflow), self.mode
-            )
-        if self.tracer is not None:
-            self.trace(
-                Kind.INVOCATION_END, workflow, invocation_id,
-                detail=record.status,
             )
         if self.spans.enabled:
             root = self.spans.root_of(invocation_id)
@@ -294,14 +278,6 @@ class HyperFlowServerlessSystem:
 
     def set_tenants(self, tenants: dict[str, str]) -> None:
         self._tenants = dict(tenants)
-
-    def trace(self, kind: str, workflow: str, invocation_id: InvocationID,
-              function: str = "", node: str = "", detail: str = "") -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, kind, workflow, invocation_id,
-                function=function, node=node, detail=detail,
-            )
 
     # -- internals -------------------------------------------------------
     def _engine_step(self) -> Generator:
@@ -320,6 +296,7 @@ class HyperFlowServerlessSystem:
             remaining, done, failure, record,
         ) = shared
         dag = registered.dag
+        triggered_at = self.env.now
         skipped = (
             self.config.evaluate_switches
             and not fn.is_virtual
@@ -329,11 +306,6 @@ class HyperFlowServerlessSystem:
         yield from self._engine_step()
         if not fn.is_virtual and not skipped:
             worker = fn.worker
-            if self.tracer is not None:
-                self.trace(
-                    Kind.TASK_ASSIGNED, dag.name, invocation_id,
-                    function=fn.name, node=worker.name,
-                )
             self.messages_sent += 1
             assign_start = self.env.now
             yield self.cluster.network.message(
@@ -406,14 +378,22 @@ class HyperFlowServerlessSystem:
                     role="result",
                     dst=self.master.name,
                 )
+        elif self.spans.enabled:
+            # A step marker or a non-selected switch arm: the master's
+            # bookkeeping step stands in for the execution.
+            self.spans.record(
+                SpanKind.FUNCTION,
+                triggered_at,
+                self.env.now,
+                workflow=dag.name,
+                invocation_id=invocation_id,
+                function=fn.name,
+                node=self.master.name,
+                parent=self.spans.root_of(invocation_id),
+                **{"skipped" if skipped else "virtual": True},
+            )
         # Completion handling in the serialized engine loop.
         yield from self._engine_step()
-        if self.tracer is not None:
-            self.trace(
-                Kind.FUNCTION_EXECUTED, dag.name, invocation_id,
-                function=fn.name,
-                node="" if fn.worker is None else fn.worker.name,
-            )
         remaining[0] -= 1
         if remaining[0] == 0:
             if failure[0] is None and not done.triggered:
@@ -444,8 +424,6 @@ class HyperFlowServerlessSystem:
         self.registry.cancel_node(
             node_name, CancelCause(CancelKind.NODE_CRASH, detail=node_name)
         )
-        self.trace(Kind.NODE_CRASH, "", 0, node=node_name)
 
     def on_node_recovery(self, node_name: str) -> None:
         """Nothing to replay: the container pool drains its own backlog."""
-        self.trace(Kind.NODE_RECOVERY, "", 0, node=node_name)

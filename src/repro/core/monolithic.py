@@ -27,7 +27,6 @@ from ..obs.spans import SpanKind
 from ..sim import Cluster, Node
 from .master_engine import static_critical_exec
 from .state import InvocationState, new_invocation_id
-from .tracing import Kind, Tracer
 
 __all__ = ["MonolithicSystem"]
 
@@ -42,13 +41,11 @@ class MonolithicSystem:
         cluster: Cluster,
         metrics: Optional[MetricsCollector] = None,
         host: Optional[Node] = None,
-        tracer: Optional[Tracer] = None,
     ):
         self.cluster = cluster
         self.env = cluster.env
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.host = host or cluster.workers[0]
-        self.tracer = tracer
         self.spans = cluster.spans
         if self.spans.enabled:
             self.metrics.spans = self.spans
@@ -57,14 +54,6 @@ class MonolithicSystem:
     def register(self, dag: WorkflowDAG) -> None:
         dag.validate()
         self._workflows[dag.name] = dag
-
-    def trace(self, kind: str, workflow: str, invocation_id: str,
-              function: str = "", node: str = "", detail: str = "") -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, kind, workflow, invocation_id,
-                function=function, node=node, detail=detail,
-            )
 
     def invoke(self, workflow: str) -> Generator:
         """Simulation process: one monolithic invocation."""
@@ -80,7 +69,6 @@ class MonolithicSystem:
         state = InvocationState(invocation_id)
         all_done = self.env.event()
         remaining = {"count": len(dag.node_names)}
-        self.trace(Kind.INVOCATION_START, workflow, invocation_id)
         if self.spans.enabled:
             self.spans.start_invocation(
                 invocation_id, workflow=workflow, mode=self.mode
@@ -94,9 +82,6 @@ class MonolithicSystem:
         yield all_done
         record.finished_at = self.env.now
         self.metrics.record_invocation(record)
-        self.trace(
-            Kind.INVOCATION_END, workflow, invocation_id, detail=record.status
-        )
         if self.spans.enabled:
             root = self.spans.root_of(invocation_id)
             if root is not None:
@@ -170,12 +155,18 @@ class MonolithicSystem:
             if fn_span is not None:
                 spans.end(fn_span)
                 spans.clear_context(invocation_id, function)
+        elif spans.enabled:
+            # A step marker is a direct call: it takes no time.
+            spans.event(
+                SpanKind.FUNCTION,
+                workflow=dag.name,
+                invocation_id=invocation_id,
+                function=function,
+                node=self.host.name,
+                parent=spans.root_of(invocation_id),
+                virtual=True,
+            )
         state.state_of(function).executed = True
-        self.trace(
-            Kind.FUNCTION_EXECUTED, dag.name, invocation_id,
-            function=function,
-            node="" if node_meta.is_virtual else self.host.name,
-        )
         remaining["count"] -= 1
         if remaining["count"] == 0 and not all_done.triggered:
             all_done.succeed()

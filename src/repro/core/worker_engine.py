@@ -66,7 +66,6 @@ from .state import (
     WorkflowStructure,
     new_invocation_id,
 )
-from .tracing import Kind, Tracer
 
 __all__ = ["WorkerEngine", "FaaSFlowSystem"]
 
@@ -152,14 +151,13 @@ class WorkerEngine:
     """The decentralized engine on one worker node."""
 
     # Wire labels; DataflowSP overrides them all.  Spawn-name prefixes
-    # of trigger handlers and of local / remote deliveries, the stem of
-    # message tags and span roles (``-batch`` appended for a delivery
-    # of several entries), and the prefix of STATE_SYNC trace details.
+    # of trigger handlers and of local / remote deliveries, and the stem
+    # of message tags and span roles (``-batch`` appended for a delivery
+    # of several entries).
     _run_prefix = "worker"
     _local_notify_prefix = "rpc"
     _remote_notify_prefix = "sync"
     _sync_role = "state"
-    _sync_detail = ""
 
     def __init__(self, system: "FaaSFlowSystem", node: Node):
         self.system = system
@@ -429,11 +427,6 @@ class WorkerEngine:
     ) -> Generator:
         system = self.system
         function = entry.name
-        if system.tracer is not None:
-            system.trace(
-                Kind.FUNCTION_TRIGGERED, structure.workflow, invocation_id,
-                function=function, node=self.node.name,
-            )
         skipped = (
             system.config.evaluate_switches
             and not entry.is_virtual
@@ -443,11 +436,20 @@ class WorkerEngine:
         if entry.is_virtual or skipped:
             # Virtual step markers (and non-selected switch arms) cost
             # one local bookkeeping action, no container and no data.
+            triggered_at = self.env.now
             yield self.env.timeout(system.config.local_trigger_time)
-            if skipped and system.tracer is not None:
-                system.trace(
-                    Kind.FUNCTION_EXECUTED, structure.workflow, invocation_id,
-                    function=function, node=self.node.name, detail="skipped",
+            spans = system.spans
+            if spans.enabled:
+                spans.record(
+                    SpanKind.FUNCTION,
+                    triggered_at,
+                    self.env.now,
+                    workflow=structure.workflow,
+                    invocation_id=invocation_id,
+                    function=function,
+                    node=self.node.name,
+                    parent=spans.root_of(invocation_id),
+                    **{"skipped" if skipped else "virtual": True},
                 )
         else:
             # The runtime runs inline in this (already node-bound)
@@ -500,21 +502,10 @@ class WorkerEngine:
             if context is not None:
                 context.record.cold_starts += result.cold_starts
                 context.record.retries += result.retries
-            if result.cold_starts and system.tracer is not None:
-                system.trace(
-                    Kind.COLD_START, structure.workflow, invocation_id,
-                    function=function, node=self.node.name,
-                    detail=str(result.cold_starts),
-                )
             produced = True
         inv = structure.invocation(invocation_id)
         inv.flags[entry.index] |= EXECUTED
         structure.note_untriggered(invocation_id, entry.index)
-        if system.tracer is not None:
-            system.trace(
-                Kind.FUNCTION_EXECUTED, structure.workflow, invocation_id,
-                function=function, node=self.node.name,
-            )
         self._propagate(structure, invocation_id, entry, produced)
 
     def _propagate(
@@ -628,14 +619,6 @@ class WorkerEngine:
                     **extra,
                 )
             remote.states_synced += count
-            if system.tracer is not None:
-                batch = "" if count == 1 else "batch "
-                system.trace(
-                    Kind.STATE_SYNC, structure.workflow, invocation_id,
-                    function=",".join([dest.name for dest in dest_entries]),
-                    node=remote.node.name,
-                    detail=f"{self._sync_detail}{batch}from {self.node.name}",
-                )
         if engine.down:
             engine._defer("update", dest_structure, invocation_id, dest_entries)
             return
@@ -726,14 +709,12 @@ class FaaSFlowSystem:
         config: Optional[EngineConfig] = None,
         policy: Optional[DataPolicy] = None,
         metrics: Optional[MetricsCollector] = None,
-        tracer: Optional[Tracer] = None,
         faults: Optional[FaultInjector] = None,
     ):
         self.cluster = cluster
         self.env = cluster.env
         self.network = cluster.network
         self.config = config or EngineConfig()
-        self.tracer = tracer
         self.spans = cluster.spans
         self.telemetry = cluster.telemetry
         self.metrics = metrics if metrics is not None else MetricsCollector()
@@ -927,8 +908,6 @@ class FaaSFlowSystem:
         self.in_flight += 1
         if self.in_flight > self.peak_in_flight:
             self.peak_in_flight = self.in_flight
-        if self.tracer is not None:
-            self.trace(Kind.INVOCATION_START, workflow, invocation_id)
         if self.spans.enabled:
             self.spans.start_invocation(
                 invocation_id, workflow=workflow, mode=self.mode
@@ -963,15 +942,10 @@ class FaaSFlowSystem:
             # one 60-second timer per completed invocation.
             timeout.cancel()
         if record.status != InvocationStatus.OK:
-            cancelled = self.registry.cancel_invocation(
+            self.registry.cancel_invocation(
                 invocation_id,
                 CancelCause(CancelKind.INVOCATION_ABORT, detail=record.status),
             )
-            if cancelled:
-                self.trace(
-                    Kind.CANCELLED, workflow, invocation_id,
-                    detail=f"{cancelled} process(es)",
-                )
         self.registry.release_invocation(invocation_id)
         self.policy.cleanup_invocation(deployed.dag, invocation_id)
         self.metrics.record_invocation(record)
@@ -979,11 +953,6 @@ class FaaSFlowSystem:
             record_invocation_metrics(
                 self.telemetry, record, self.tenant_of(workflow),
                 self.engine_label,
-            )
-        if self.tracer is not None:
-            self.trace(
-                Kind.INVOCATION_END, workflow, invocation_id,
-                detail=record.status,
             )
         if self.spans.enabled:
             root = self.spans.root_of(invocation_id)
@@ -1047,14 +1016,6 @@ class FaaSFlowSystem:
     def set_tenants(self, tenants: dict[str, str]) -> None:
         self._tenants = dict(tenants)
 
-    def trace(self, kind: str, workflow: str, invocation_id: InvocationID,
-              function: str = "", node: str = "", detail: str = "") -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                self.env.now, kind, workflow, invocation_id,
-                function=function, node=node, detail=detail,
-            )
-
     def invocation_failed(
         self, workflow: str, invocation_id: InvocationID, function: str
     ) -> None:
@@ -1089,17 +1050,13 @@ class FaaSFlowSystem:
         engine = self.engines.get(node_name)
         if engine is None:
             return
-        cancelled = self.registry.cancel_node(
+        self.registry.cancel_node(
             node_name, CancelCause(CancelKind.NODE_STOP, detail=node_name)
         )
         pending = engine.fail()
         if pending:
             self._crash_pending.setdefault(node_name, []).extend(pending)
         self.node_crashes += 1
-        self.trace(
-            Kind.NODE_CRASH, "", 0, node=node_name,
-            detail=f"killed {cancelled} process(es), lost {len(pending)} task(s)",
-        )
 
     def on_node_recovery(self, node_name: str) -> None:
         engine = self.engines.get(node_name)
@@ -1122,7 +1079,3 @@ class FaaSFlowSystem:
             if engine.retrigger(workflow, version, invocation_id, function):
                 retriggered += 1
         self.retriggered += retriggered
-        self.trace(
-            Kind.NODE_RECOVERY, "", 0, node=node_name,
-            detail=f"retriggered {retriggered} task(s)",
-        )

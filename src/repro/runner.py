@@ -27,7 +27,6 @@ from .core import (
     FaultInjector,
     GraphScheduler,
     HyperFlowServerlessSystem,
-    Tracer,
     hash_partition,
 )
 from .parallel import add_jobs_argument, derive_seed
@@ -99,9 +98,10 @@ def run_workflow(
 ) -> RunSummary:
     """Run ``dag`` and return a summary of what happened.
 
-    ``trace_out`` turns on span tracing + resource sampling and writes
-    the trace bundle (JSONL spans, Perfetto JSON, samples CSV, metrics
-    CSVs) into that directory.
+    ``trace`` turns on span tracing; the tracer is returned as
+    ``summary.spans``.  ``trace_out`` turns on the same tracer plus
+    resource sampling and writes the trace bundle (JSONL spans,
+    Perfetto JSON, samples CSV, metrics CSVs) into that directory.
 
     ``telemetry_out`` turns on the streaming metrics registry and
     writes its snapshot as ``<workflow>-telemetry.json`` into that
@@ -119,15 +119,16 @@ def run_workflow(
     )
     span_tracer = None
     sampler = None
-    if trace_out is not None:
+    if trace or trace_out is not None:
         from .obs import ResourceSampler, SpanTracer
 
         # Must precede system construction: engines snapshot
         # cluster.spans when they are built.
         span_tracer = SpanTracer(env)
         cluster.install_spans(span_tracer)
-        sampler = ResourceSampler(cluster, interval=sample_interval)
-        sampler.start()
+        if trace_out is not None:
+            sampler = ResourceSampler(cluster, interval=sample_interval)
+            sampler.start()
     registry = None
     if collect_telemetry or telemetry_out is not None:
         from .obs.telemetry import MetricsRegistry
@@ -136,7 +137,6 @@ def run_workflow(
         # they are built, so install before system construction.
         registry = MetricsRegistry(clock=lambda: env.now)
         cluster.install_telemetry(registry)
-    tracer = Tracer() if trace else None
     faults = (
         FaultInjector(default_rate=fault_rate, seed=seed)
         if fault_rate > 0
@@ -147,16 +147,14 @@ def run_workflow(
         eager_ship=eager_ship, batch_control=batch_control,
     )
     if engine == "master":
-        system = HyperFlowServerlessSystem(
-            cluster, config, tracer=tracer, faults=faults
-        )
+        system = HyperFlowServerlessSystem(cluster, config, faults=faults)
         system.register(dag, hash_partition(dag, cluster.worker_names()))
     else:
         # WorkerSP and DataflowSP share the placement-driven deployment
         # path (scheduler, quotas, feedback); only the triggering
         # paradigm behind the deployed sub-graphs differs.
         system_class = DataflowSystem if engine == "dataflow" else FaaSFlowSystem
-        system = system_class(cluster, config, tracer=tracer, faults=faults)
+        system = system_class(cluster, config, faults=faults)
         scheduler = GraphScheduler(cluster)
         placement, quotas, _ = scheduler.schedule(dag)
         system.deploy(dag, placement, quotas=quotas, prewarm=1 if prewarm else 0)
@@ -228,7 +226,6 @@ def run_workflow(
         cold_starts=sum(r.cold_starts for r in records),
         records=records,
         metrics=metrics,
-        tracer=tracer,
         spans=span_tracer,
         trace_paths=trace_paths,
         telemetry=telemetry_snapshot,
@@ -238,7 +235,7 @@ def run_workflow(
 
 
 # Fields of a RunSummary that survive the trip back from a worker
-# process (the live system/metrics/tracer objects hold simulation
+# process (the live system/metrics/spans objects hold simulation
 # generators and are neither picklable nor meaningful across trials).
 _SCALAR_FIELDS = (
     "workflow",
@@ -401,7 +398,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--trace", action="store_true",
-        help="print the first invocation's execution timeline",
+        help="record causal spans and print the first measured "
+        "invocation's span tree (shares the tracer with --trace-out)",
     )
     parser.add_argument(
         "--csv", metavar="DIR", help="export metrics CSVs to DIR"
@@ -450,9 +448,9 @@ def main(argv: list[str] | None = None) -> int:
         tenant=args.tenant,
     )
     if args.trials > 1:
-        if args.trace_out:
+        if args.trace or args.trace_out:
             print(
-                "note: --trace-out is ignored with --trials > 1 "
+                "note: --trace and --trace-out are ignored with --trials > 1 "
                 "(trials run in worker processes)",
                 file=sys.stderr,
             )
@@ -492,9 +490,9 @@ def main(argv: list[str] | None = None) -> int:
         **run_kwargs,
     )
     print(_format_summary(summary))
-    if args.trace and summary.tracer is not None and summary.records:
-        print("\nfirst invocation timeline:")
-        print(summary.tracer.timeline(summary.records[0].invocation_id))
+    if args.trace and summary.records:
+        print("\nfirst invocation span tree:")
+        print(summary.spans.format_tree(summary.records[0].invocation_id))
     if args.csv:
         from .metrics.export import export_metrics
 

@@ -15,6 +15,7 @@ over-provisioned container memory to the node's FaaStore pool.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,8 +58,8 @@ class ContainerSpec:
             raise SimulationError("cores must be >= 1")
         if self.cold_start_time < 0:
             raise SimulationError("cold_start_time must be >= 0")
-        if self.keepalive <= 0:
-            raise SimulationError("keepalive must be > 0")
+        if not 0 < self.keepalive < math.inf:
+            raise SimulationError("keepalive must be finite and > 0")
         if self.max_per_function < 1:
             raise SimulationError("max_per_function must be >= 1")
         if self.sandbox not in ("container", "microvm"):

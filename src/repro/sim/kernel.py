@@ -186,8 +186,10 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         # Born triggered: initialize every slot directly rather than
         # paying for Event.__init__ and then overwriting half of it.
-        if not delay >= 0:  # also rejects NaN, which would corrupt the heap
-            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+        if not 0 <= delay < _INF:  # NaN or inf would corrupt the clock
+            raise SimulationError(
+                f"timeout delay must be finite and >= 0, got {delay}"
+            )
         self.env = env
         self.callbacks = []
         self._state = TRIGGERED
@@ -575,8 +577,10 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         pool = self._timeout_pool
         if pool:
-            if not delay >= 0:
-                raise SimulationError(f"timeout delay must be >= 0, got {delay}")
+            if not 0 <= delay < _INF:
+                raise SimulationError(
+                    f"timeout delay must be finite and >= 0, got {delay}"
+                )
             event = pool.pop()
             event._state = TRIGGERED
             event._ok = True
@@ -598,12 +602,13 @@ class Environment:
         exact times (a traffic cell fires its slice of a plan at the
         same timestamps as one environment running all of it), and the
         network model uses it for flow-completion timers.  ``when`` must
-        not be in the past (or NaN).
+        be finite and not in the past.
         """
         when = float(when)
-        if not when >= self._now:
+        if not self._now <= when < _INF:
             raise SimulationError(
-                f"cannot schedule at t={when}, clock already at {self._now}"
+                f"cannot schedule at t={when}: it must be finite and not "
+                f"before the clock ({self._now})"
             )
         pool = self._timeout_pool
         if pool:

@@ -16,12 +16,12 @@ from repro.core import (
     EngineConfig,
     FaaSFlowSystem,
     HyperFlowServerlessSystem,
-    Tracer,
     hash_partition,
 )
 from repro.metrics import InvocationStatus
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 
+from ..span_oracle import assert_executed_correctly, install_spans
 from .conftest import MB, fanout_dag
 
 ENGINES = ("master", "worker", "dataflow")
@@ -51,15 +51,15 @@ def _run(engine, invocations=3, ship_data=True):
             storage_bandwidth=50 * MB,
         ),
     )
-    tracer = Tracer()
+    spans = install_spans(cluster)
     config = EngineConfig(ship_data=ship_data)
     dag = fanout_dag(branches=3)
     placement = hash_partition(dag, cluster.worker_names())
     if engine == "master":
-        system = HyperFlowServerlessSystem(cluster, config, tracer=tracer)
+        system = HyperFlowServerlessSystem(cluster, config)
         system.register(dag, placement)
     else:
-        system = SYSTEM_CLASSES[engine](cluster, config, tracer=tracer)
+        system = SYSTEM_CLASSES[engine](cluster, config)
         system.deploy(
             dag,
             placement,
@@ -67,27 +67,24 @@ def _run(engine, invocations=3, ship_data=True):
         )
     records = run_closed_loop(system, dag.name, invocations)
     drain(env)
-    return env, cluster, system, tracer, records, dag
+    return env, cluster, system, spans, records, dag
 
 
 class TestSameWorkEverywhere:
     def test_every_engine_executes_the_same_functions(self):
         expected = None
         for engine in ENGINES:
-            _, _, _, tracer, records, dag = _run(engine)
+            _, _, _, spans, records, dag = _run(engine)
             assert all(r.status == InvocationStatus.OK for r in records)
-            executed = {
-                r.invocation_id: tracer.execution_counts(r.invocation_id)
-                for r in records
-            }
-            for counts in executed.values():
-                assert counts == {name: 1 for name in dag.node_names}
+            executed = [r.invocation_id for r in records]
+            for invocation_id in executed:
+                assert_executed_correctly(dag, spans, invocation_id)
             if expected is None:
-                expected = set(executed)
+                expected = executed
             else:
                 # Same client, same id allocator: the engines complete
                 # the exact same invocation ids.
-                assert set(executed) == expected
+                assert executed == expected
 
     @pytest.mark.parametrize("engine", ["worker", "dataflow"])
     def test_faastore_final_state_identical_and_empty(self, engine):

@@ -13,11 +13,15 @@ from repro.core import (
     FaultInjector,
     FaultPlan,
     NodeCrash,
-    Tracer,
 )
 from repro.metrics import InvocationStatus
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 
+from ..span_oracle import (
+    assert_exactly_once,
+    assert_predecessor_order,
+    install_spans,
+)
 from .conftest import MB, all_on, fanout_dag, linear_dag, round_robin
 
 
@@ -76,37 +80,26 @@ class TestTriggering:
         )
 
     def test_every_function_executes_exactly_once(self, env, cluster):
-        tracer = Tracer()
-        system = DataflowSystem(
-            cluster, EngineConfig(ship_data=False), tracer=tracer
-        )
+        spans = install_spans(cluster)
+        system = DataflowSystem(cluster, EngineConfig(ship_data=False))
         dag = fanout_dag(branches=4)
         system.deploy(dag, round_robin(dag, cluster.worker_names()))
         records = run_closed_loop(system, "fan", 3)
         drain(env)
         for record in records:
             assert record.status == InvocationStatus.OK
-            counts = tracer.execution_counts(record.invocation_id)
-            assert counts == {name: 1 for name in dag.node_names}
+            assert_exactly_once(dag, spans, record.invocation_id)
 
     def test_join_waits_for_all_predecessors(self, env, cluster):
         """The tail of a fan-out must fire on its *last* token, never
         on the first."""
-        tracer = Tracer()
-        system = DataflowSystem(
-            cluster, EngineConfig(ship_data=False), tracer=tracer
-        )
+        spans = install_spans(cluster)
+        system = DataflowSystem(cluster, EngineConfig(ship_data=False))
         dag = fanout_dag(branches=3)
         system.deploy(dag, round_robin(dag, cluster.worker_names()))
         record = env.run(until=env.process(system.invoke("fan")))
         assert record.status == InvocationStatus.OK
-        executed_at = {}
-        for event in tracer.of_invocation(record.invocation_id):
-            if event.kind == "function-executed":
-                executed_at[event.function] = event.time
-        assert executed_at["tail"] >= max(
-            executed_at[f"b{i}"] for i in range(3)
-        )
+        assert_predecessor_order(dag, spans, record.invocation_id)
 
     def test_tokens_flow_cross_worker(self, env, cluster):
         system = make_system(cluster)

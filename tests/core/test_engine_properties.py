@@ -1,37 +1,46 @@
 """Property-based end-to-end tests: random workflows, hard invariants.
 
-Hypothesis generates random WDL-shaped workflows; both engines execute
-them on fresh clusters with tracing on, and the invariants that define
-a correct workflow engine are asserted:
+Hypothesis generates random WDL-shaped workflows (sequences, parallel,
+switch and foreach steps); MasterSP, WorkerSP and DataflowSP execute
+them on fresh clusters with spans on, under drawn engine settings
+(runtime switch evaluation, batched control, eager shipping, data
+shipping).  The invariants that define a correct workflow engine are
+checked on the span trees (see ``tests/span_oracle.py``):
 
 - the invocation completes,
-- every function (including virtual step markers) executes exactly once,
-- no function executes before all of its predecessors,
-- the same invariants hold under any placement and with data shipping.
+- every function executes exactly once — step markers and skipped
+  switch arms included,
+- no function starts before all of its predecessors have finished,
+- no process of the invocation is left alive,
+- the same invariants hold under any placement.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clients import run_closed_loop
 from repro.core import (
+    DataflowSystem,
     EngineConfig,
     FaaSFlowSystem,
     HyperFlowServerlessSystem,
-    Kind,
-    Tracer,
     hash_partition,
 )
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 from repro.wdl import workflow_from_dict
+
+from ..span_oracle import (
+    assert_executed_correctly,
+    execution_counts,
+    install_spans,
+)
 
 MB = 1024.0 * 1024.0
 
 
 @st.composite
 def random_wdl(draw):
-    """A random workflow document: sequences, parallels, foreach."""
+    """A random workflow document: sequences, parallel, switch, foreach."""
     counter = {"n": 0}
 
     def task():
@@ -50,16 +59,31 @@ def random_wdl(draw):
     def step(depth):
         if depth >= 2:
             return task()
-        kind = draw(st.sampled_from(["task", "task", "parallel", "foreach"]))
+        kind = draw(
+            st.sampled_from(["task", "task", "parallel", "switch", "foreach"])
+        )
         if kind == "task":
             return task()
         if kind == "parallel":
-            branches = [
+            arms = [
                 [step(depth + 1) for _ in range(draw(st.integers(1, 2)))]
                 for _ in range(draw(st.integers(2, 3)))
             ]
             counter["n"] += 1
-            return {"parallel": f"p{counter['n']}", "branches": branches}
+            return {"parallel": f"p{counter['n']}", "branches": arms}
+        if kind == "switch":
+            cases = [
+                {
+                    "condition": f"c{index}",
+                    "steps": [
+                        step(depth + 1)
+                        for _ in range(draw(st.integers(1, 2)))
+                    ],
+                }
+                for index in range(draw(st.integers(2, 3)))
+            ]
+            counter["n"] += 1
+            return {"switch": f"s{counter['n']}", "cases": cases}
         counter["n"] += 1
         return {
             "foreach": f"fe{counter['n']}",
@@ -82,71 +106,95 @@ def fresh_cluster():
     )
 
 
-def check_invariants(dag, tracer, record):
+def run_once(engine, document, config):
+    """One invocation of ``document`` on a fresh, traced cluster."""
+    dag = workflow_from_dict(document)
+    cluster = fresh_cluster()
+    spans = install_spans(cluster)
+    placement = hash_partition(dag, cluster.worker_names())
+    if engine == "master":
+        system = HyperFlowServerlessSystem(cluster, config)
+        system.register(dag, placement)
+    else:
+        system_class = DataflowSystem if engine == "dataflow" else FaaSFlowSystem
+        system = system_class(cluster, config)
+        system.deploy(dag, placement)
+        for worker in cluster.workers:
+            worker.set_faastore_quota(256 * MB, workflow=dag.name)
+    record = run_closed_loop(system, dag.name, 1)[0]
+    cluster.env.run(until=cluster.env.now)
+    return dag, system, spans, record
+
+
+def check_invariants(dag, system, spans, record):
     assert record.status == "ok"
-    counts = tracer.execution_counts(record.invocation_id)
-    assert counts == {name: 1 for name in dag.node_names}
-    inv = record.invocation_id
-    for edge in dag.edges:
-        assert tracer.execution_time(inv, edge.src) <= (
-            tracer.execution_time(inv, edge.dst) + 1e-12
-        )
+    assert_executed_correctly(dag, spans, record.invocation_id)
+    assert system.registry.live_count == 0
+
+
+SWITCHES = st.booleans()
+BATCHED = st.booleans()
 
 
 class TestRandomWorkflows:
     @settings(max_examples=30, deadline=None)
-    @given(document=random_wdl(), ship_data=st.booleans())
-    def test_worker_sp_invariants(self, document, ship_data):
-        dag = workflow_from_dict(document)
-        cluster = fresh_cluster()
-        tracer = Tracer()
-        system = FaaSFlowSystem(
-            cluster, EngineConfig(ship_data=ship_data), tracer=tracer
+    @given(
+        document=random_wdl(), ship_data=st.booleans(),
+        evaluate_switches=SWITCHES, batch_control=BATCHED,
+    )
+    def test_worker_sp_invariants(
+        self, document, ship_data, evaluate_switches, batch_control
+    ):
+        config = EngineConfig(
+            ship_data=ship_data, evaluate_switches=evaluate_switches,
+            batch_control=batch_control,
         )
-        system.deploy(dag, hash_partition(dag, cluster.worker_names()))
-        for worker in cluster.workers:
-            worker.set_faastore_quota(256 * MB, workflow=dag.name)
-        record = run_closed_loop(system, dag.name, 1)[0]
-        check_invariants(dag, tracer, record)
+        check_invariants(*run_once("worker", document, config))
 
     @settings(max_examples=30, deadline=None)
-    @given(document=random_wdl(), ship_data=st.booleans())
-    def test_master_sp_invariants(self, document, ship_data):
-        dag = workflow_from_dict(document)
-        cluster = fresh_cluster()
-        tracer = Tracer()
-        system = HyperFlowServerlessSystem(
-            cluster, EngineConfig(ship_data=ship_data), tracer=tracer
+    @given(
+        document=random_wdl(), ship_data=st.booleans(),
+        evaluate_switches=SWITCHES, batch_control=BATCHED,
+    )
+    def test_master_sp_invariants(
+        self, document, ship_data, evaluate_switches, batch_control
+    ):
+        config = EngineConfig(
+            ship_data=ship_data, evaluate_switches=evaluate_switches,
+            batch_control=batch_control,
         )
-        system.register(dag, hash_partition(dag, cluster.worker_names()))
-        record = run_closed_loop(system, dag.name, 1)[0]
-        check_invariants(dag, tracer, record)
+        check_invariants(*run_once("master", document, config))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        document=random_wdl(), ship_data=st.booleans(),
+        evaluate_switches=SWITCHES, batch_control=BATCHED,
+        eager_ship=st.booleans(),
+    )
+    def test_dataflow_sp_invariants(
+        self, document, ship_data, evaluate_switches, batch_control,
+        eager_ship,
+    ):
+        config = EngineConfig(
+            ship_data=ship_data, evaluate_switches=evaluate_switches,
+            batch_control=batch_control, eager_ship=eager_ship,
+        )
+        check_invariants(*run_once("dataflow", document, config))
 
     @settings(max_examples=15, deadline=None)
-    @given(document=random_wdl())
-    def test_both_engines_run_the_same_functions(self, document):
-        """The two schedule patterns must execute identical work."""
-        dag_w = workflow_from_dict(document)
-        cluster_w = fresh_cluster()
-        tracer_w = Tracer()
-        worker = FaaSFlowSystem(
-            cluster_w, EngineConfig(ship_data=False), tracer=tracer_w
+    @given(document=random_wdl(), evaluate_switches=SWITCHES)
+    def test_both_engines_run_the_same_functions(
+        self, document, evaluate_switches
+    ):
+        """The three schedule patterns must execute identical work."""
+        config = EngineConfig(
+            ship_data=False, evaluate_switches=evaluate_switches
         )
-        worker.deploy(dag_w, hash_partition(dag_w, cluster_w.worker_names()))
-        record_w = run_closed_loop(worker, dag_w.name, 1)[0]
-
-        dag_m = workflow_from_dict(document)
-        cluster_m = fresh_cluster()
-        tracer_m = Tracer()
-        master = HyperFlowServerlessSystem(
-            cluster_m, EngineConfig(ship_data=False), tracer=tracer_m
-        )
-        master.register(dag_m, hash_partition(dag_m, cluster_m.worker_names()))
-        record_m = run_closed_loop(master, dag_m.name, 1)[0]
-
-        assert tracer_w.execution_counts(record_w.invocation_id) == (
-            tracer_m.execution_counts(record_m.invocation_id)
-        )
+        counts = []
+        for engine in ("worker", "master", "dataflow"):
+            _, _, spans, record = run_once(engine, document, config)
+            counts.append(execution_counts(spans, record.invocation_id))
+        assert counts[0] == counts[1] == counts[2]
 
     @settings(max_examples=15, deadline=None)
     @given(document=random_wdl(), seed=st.integers(0, 100))
@@ -157,13 +205,12 @@ class TestRandomWorkflows:
 
         dag = workflow_from_dict(document)
         cluster = fresh_cluster()
-        tracer = Tracer()
-        system = FaaSFlowSystem(
-            cluster, EngineConfig(ship_data=True), tracer=tracer
-        )
+        spans = install_spans(cluster)
+        system = FaaSFlowSystem(cluster, EngineConfig(ship_data=True))
         scheduler = GraphScheduler(cluster, seed=seed)
         estimate_edge_weights(dag, bandwidth=cluster.config.storage_bandwidth)
         placement, quotas, _ = scheduler.schedule(dag, force_grouping=True)
         system.deploy(dag, placement, quotas=quotas)
         record = run_closed_loop(system, dag.name, 1)[0]
-        check_invariants(dag, tracer, record)
+        cluster.env.run(until=cluster.env.now)
+        check_invariants(dag, system, spans, record)

@@ -196,3 +196,8 @@ class TestRetries:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(max_retries=-1)
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="execution_timeout"):
+                EngineConfig(execution_timeout=bad)
+            with pytest.raises(ValueError, match="function_timeout"):
+                EngineConfig(function_timeout=bad)

@@ -9,6 +9,7 @@ from repro.core import (
 )
 from repro.metrics import InvocationStatus
 
+from ..span_oracle import assert_executed_correctly, install_spans
 from .conftest import MB, all_on, fanout_dag, linear_dag
 
 
@@ -38,20 +39,23 @@ class TestMonolithicExecution:
 
 class TestMonolithicTracing:
     def test_tracer_brackets_invocation(self, env, cluster):
-        from repro.core import Kind, Tracer
+        from repro.obs import SpanKind
 
-        tracer = Tracer()
-        system = MonolithicSystem(cluster, tracer=tracer)
-        dag = linear_dag(n=3)
+        spans = install_spans(cluster)
+        system = MonolithicSystem(cluster)
+        dag = fanout_dag(branches=3)
+        dag.add_function("fan.end", is_virtual=True)
+        dag.add_edge("tail", "fan.end")
         system.register(dag)
-        record = env.run(until=env.process(system.invoke("lin")))
-        events = tracer.of_invocation(record.invocation_id)
-        assert events[0].kind == Kind.INVOCATION_START
-        assert events[-1].kind == Kind.INVOCATION_END
-        assert events[-1].detail == "ok"
-        executed = [e for e in events if e.kind == Kind.FUNCTION_EXECUTED]
-        assert {e.function for e in executed} == set(dag.node_names)
-        assert all(e.node == "worker-0" for e in executed)
+        record = env.run(until=env.process(system.invoke("fan")))
+        root = spans.root_of(record.invocation_id)
+        assert root.status == "ok"
+        assert (root.start, root.end) == (record.started_at, record.finished_at)
+        assert_executed_correctly(dag, spans, record.invocation_id)
+        executed = spans.of_kind(SpanKind.FUNCTION)
+        assert all(s.node == "worker-0" for s in executed)
+        (marker,) = [s for s in executed if s.attrs.get("virtual")]
+        assert (marker.function, marker.duration) == ("fan.end", 0.0)
 
     def test_span_tracer_produces_tree(self, env, cluster):
         from repro.obs import SpanKind, SpanTracer
@@ -73,7 +77,6 @@ class TestMonolithicTracing:
 
     def test_untraced_by_default(self, env, cluster):
         system = MonolithicSystem(cluster)
-        assert system.tracer is None
         assert system.spans.enabled is False
 
 

@@ -26,10 +26,14 @@ from repro.core import (
     hash_partition,
 )
 from repro.core.state import EXECUTED, TRIGGERED, reset_invocation_ids
-from repro.core.tracing import Tracer
 from repro.metrics import InvocationStatus
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
 
+from ..span_oracle import (
+    assert_executed_correctly,
+    executed_spans,
+    install_spans,
+)
 from .conftest import MB, fanout_dag, linear_dag
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -299,8 +303,8 @@ class TestBatchedDeliveryUnderCrash:
     def _run(self, engine, head, crash_at=None):
         reset_invocation_ids(1)
         cluster = make_cluster(workers=2)
+        spans = install_spans(cluster)
         system = make_system(engine, cluster, batch_control=True)
-        system.tracer = Tracer()
         # The 3-wide head -> b0..b2 fan-out always lands on worker-1:
         # one remote batch from worker-0, one local batch from worker-1.
         dag = fanout_dag(branches=3, output_size=0.0)
@@ -328,16 +332,18 @@ class TestBatchedDeliveryUnderCrash:
             )
         records = run_closed_loop(system, dag.name, 3)
         drain(cluster.env)
-        return system, records, deferred_while_down
+        return system, spans, records, deferred_while_down
 
     @pytest.mark.parametrize("head", ["worker-0", "worker-1"])
     @pytest.mark.parametrize("engine", ["worker", "dataflow"])
     def test_deferred_batch_replays_on_recovery(self, engine, head):
-        dry, _, _ = self._run(engine, head)
+        _, dry_spans, _, _ = self._run(engine, head)
         # Crash while invocation 1's fan-out is on the wire / RPC hop:
         # well inside both the 1.5 ms local hop and the message latency.
-        crash_at = dry.tracer.execution_time(1, "head") + 1e-4
-        system, records, deferred_while_down = self._run(
+        crash_at = 1e-4 + next(
+            s.end for s in executed_spans(dry_spans, 1) if s.function == "head"
+        )
+        system, spans, records, deferred_while_down = self._run(
             engine, head, crash_at
         )
         # The whole batch was deferred, one entry per branch.
@@ -349,11 +355,10 @@ class TestBatchedDeliveryUnderCrash:
         assert [r.invocation_id for r in records] == [1, 2, 3]
         assert all(r.status == InvocationStatus.OK for r in records)
         assert all(r.finished_at is not None for r in records)
-        # Each branch of each invocation ran exactly once.
+        # Each branch of each invocation ran exactly once, in order.
+        dag = fanout_dag(branches=3, output_size=0.0)
         for invocation_id in (1, 2, 3):
-            assert system.tracer.execution_counts(invocation_id) == {
-                "head": 1, "b0": 1, "b1": 1, "b2": 1, "tail": 1,
-            }
+            assert_executed_correctly(dag, spans, invocation_id)
         assert system.registry.live_count == 0
         for eng in system.engines.values():
             assert eng._deferred == []

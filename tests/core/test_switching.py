@@ -4,15 +4,17 @@ import pytest
 
 from repro.clients import run_closed_loop
 from repro.core import (
+    DataflowSystem,
     EngineConfig,
     FaaSFlowSystem,
     HyperFlowServerlessSystem,
-    Kind,
-    Tracer,
     hash_partition,
 )
 from repro.core.switching import is_skipped, selected_case
+from repro.obs import SpanKind
 from repro.wdl import parse_workflow
+
+from ..span_oracle import assert_executed_correctly, install_spans
 
 SWITCH_WDL = """
 name: moderation
@@ -115,18 +117,20 @@ class TestEngineExecution:
                 workers=2, container=ContainerSpec(cold_start_time=0.01)
             ),
         )
-        tracer = Tracer()
+        spans = install_spans(cluster)
         dag = parse_workflow(SWITCH_WDL)
         dag.node("verdict.start").metadata["force_case"] = force_case
         config = EngineConfig(ship_data=False, evaluate_switches=True)
         if engine_cls is HyperFlowServerlessSystem:
-            system = HyperFlowServerlessSystem(cluster, config, tracer=tracer)
+            system = HyperFlowServerlessSystem(cluster, config)
             system.register(dag, hash_partition(dag, cluster.worker_names()))
         else:
-            system = FaaSFlowSystem(cluster, config, tracer=tracer)
+            system = engine_cls(cluster, config)
             system.deploy(dag, hash_partition(dag, cluster.worker_names()))
         records = run_closed_loop(system, dag.name, invocations)
-        return records, tracer, cluster
+        for record in records:
+            assert_executed_correctly(dag, spans, record.invocation_id)
+        return records, spans, cluster
 
     @pytest.mark.parametrize(
         "engine_cls", [FaaSFlowSystem, HyperFlowServerlessSystem]
@@ -141,13 +145,16 @@ class TestEngineExecution:
         assert "blur" not in live  # skipped arm never got a container
 
     def test_skipped_functions_traced_as_skipped(self):
-        _, tracer, _ = self.run_system(FaaSFlowSystem, force_case=1)
-        skipped = [
-            e.function
-            for e in tracer.of_kind(Kind.FUNCTION_EXECUTED)
-            if e.detail == "skipped"
-        ]
-        assert set(skipped) == {"blur", "re-upload"}
+        for engine_cls in (
+            FaaSFlowSystem, HyperFlowServerlessSystem, DataflowSystem
+        ):
+            _, spans, _ = self.run_system(engine_cls, force_case=1)
+            skipped = [
+                s.function
+                for s in spans.of_kind(SpanKind.FUNCTION)
+                if s.attrs.get("skipped")
+            ]
+            assert sorted(skipped) == ["blur", "re-upload"], engine_cls
 
     def test_skipping_shortens_latency(self):
         slow_records, _, _ = self.run_system(FaaSFlowSystem, force_case=0)

@@ -1,4 +1,4 @@
-"""Tests for execution tracing and engine execution invariants."""
+"""Span trees as the execution trace, and the engine invariants on them."""
 
 import pytest
 
@@ -6,146 +6,135 @@ from repro.core import (
     EngineConfig,
     FaaSFlowSystem,
     HyperFlowServerlessSystem,
-    Kind,
-    Tracer,
 )
 from repro.clients import run_closed_loop
+from repro.dag import WorkflowDAG
+from repro.obs import SpanKind, SpanTracer
+from repro.sim import Environment
 
+from ..span_oracle import (
+    assert_executed_correctly,
+    assert_exactly_once,
+    assert_predecessor_order,
+    execution_counts,
+    install_spans,
+)
 from .conftest import all_on, fanout_dag, linear_dag, round_robin
 
 
 def make_traced_faasflow(cluster, **config_kwargs):
     config_kwargs.setdefault("ship_data", False)
-    tracer = Tracer()
-    system = FaaSFlowSystem(
-        cluster, EngineConfig(**config_kwargs), tracer=tracer
-    )
-    return system, tracer
+    spans = install_spans(cluster)
+    system = FaaSFlowSystem(cluster, EngineConfig(**config_kwargs))
+    return system, spans
 
 
-class TestTracerBasics:
-    def test_records_accumulate(self):
-        tracer = Tracer()
-        tracer.record(1.0, Kind.INVOCATION_START, "w", 1)
-        tracer.record(2.0, Kind.INVOCATION_END, "w", 1, detail="ok")
-        assert tracer.count(Kind.INVOCATION_START) == 1
-        assert len(tracer.of_invocation(1)) == 2
-
-    def test_limit_drops_excess(self):
-        tracer = Tracer(limit=2)
-        for i in range(5):
-            tracer.record(float(i), Kind.STATE_SYNC, "w", 1)
-        assert len(tracer.events) == 2
-        assert tracer.dropped == 3
-
-    def test_limit_keeps_newest_events(self):
-        tracer = Tracer(limit=3)
-        for i in range(7):
-            tracer.record(float(i), Kind.STATE_SYNC, "w", i)
-        # Drop-oldest: the tail of the stream survives, not the head.
-        assert [e.time for e in tracer.events] == [4.0, 5.0, 6.0]
-        assert tracer.dropped == 4
-        tracer.record(7.0, Kind.STATE_SYNC, "w", 7)
-        assert [e.time for e in tracer.events] == [5.0, 6.0, 7.0]
-        assert tracer.dropped == 5
-
-    def test_invalid_limit_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(limit=0)
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.record(1.0, Kind.STATE_SYNC, "w", 1)
-        tracer.clear()
-        assert not tracer.events
+def state_syncs(spans, role):
+    return [
+        s for s in spans.of_kind(SpanKind.STATE_SYNC) if s.attrs["role"] == role
+    ]
 
 
 class TestWorkerSPTracing:
     def test_invocation_bracketed(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+        system, spans = make_traced_faasflow(cluster)
         dag = linear_dag(n=2)
         system.deploy(dag, all_on(dag, "worker-0"))
         record = run_closed_loop(system, "lin", 1)[0]
-        events = tracer.of_invocation(record.invocation_id)
-        assert events[0].kind == Kind.INVOCATION_START
-        assert events[-1].kind == Kind.INVOCATION_END
-        assert events[-1].detail == "ok"
+        (root_depth, root), *rest = spans.tree(record.invocation_id)
+        assert (root_depth, root.kind, root.status) == (0, "invocation", "ok")
+        assert (root.start, root.end) == (record.started_at, record.finished_at)
+        assert rest and all(depth > 0 for depth, _ in rest)
+        assert all(root.start <= s.start <= s.end <= root.end for _, s in rest)
 
     def test_every_function_executes_exactly_once(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+        system, spans = make_traced_faasflow(cluster)
         dag = fanout_dag(branches=4)
         system.deploy(dag, round_robin(dag, cluster.worker_names()))
         record = run_closed_loop(system, "fan", 1)[0]
-        counts = tracer.execution_counts(record.invocation_id)
-        assert counts == {name: 1 for name in dag.node_names}
+        assert_exactly_once(dag, spans, record.invocation_id)
 
     def test_execution_respects_predecessor_order(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+        system, spans = make_traced_faasflow(cluster)
         dag = fanout_dag(branches=3)
         system.deploy(dag, round_robin(dag, cluster.worker_names()))
         record = run_closed_loop(system, "fan", 1)[0]
-        inv = record.invocation_id
-        for edge in dag.edges:
-            assert tracer.execution_time(inv, edge.src) <= (
-                tracer.execution_time(inv, edge.dst)
-            )
+        assert_predecessor_order(dag, spans, record.invocation_id)
 
     def test_cold_starts_traced_once_then_warm(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+        system, spans = make_traced_faasflow(cluster)
         dag = linear_dag(n=3)
         system.deploy(dag, all_on(dag, "worker-1"))
         run_closed_loop(system, "lin", 2)
-        assert tracer.count(Kind.COLD_START) == 3  # only the first run
+        assert len(spans.of_kind(SpanKind.COLD_START)) == 3  # first run only
 
     def test_state_sync_only_for_cross_worker_edges(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+        system, spans = make_traced_faasflow(cluster)
         dag = linear_dag(n=4)
         system.deploy(dag, all_on(dag, "worker-0"))
         run_closed_loop(system, "lin", 1)
-        assert tracer.count(Kind.STATE_SYNC) == 0
-        tracer.clear()
+        assert state_syncs(spans, "state") == []
+        spans.clear()
         dag2 = linear_dag(name="lin2", n=4)
         system.deploy(dag2, round_robin(dag2, ["worker-0", "worker-1"]))
         run_closed_loop(system, "lin2", 1)
-        assert tracer.count(Kind.STATE_SYNC) == 3
+        assert len(state_syncs(spans, "state")) == 3
 
     def test_executed_node_matches_placement(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+        system, spans = make_traced_faasflow(cluster)
         dag = linear_dag(n=3)
         placement = round_robin(dag, cluster.worker_names())
         system.deploy(dag, placement)
         record = run_closed_loop(system, "lin", 1)[0]
-        for event in tracer.of_invocation(record.invocation_id):
-            if event.kind == Kind.FUNCTION_EXECUTED:
-                assert event.node == placement.node_of(event.function)
+        fn_spans = [
+            s for s in spans.spans_of(record.invocation_id)
+            if s.kind == SpanKind.FUNCTION
+        ]
+        assert len(fn_spans) == 3
+        for span in fn_spans:
+            assert span.node == placement.node_of(span.function)
 
     def test_timeline_renders(self, env, cluster):
-        system, tracer = make_traced_faasflow(cluster)
+        system, spans = make_traced_faasflow(cluster)
         dag = linear_dag(n=2)
         system.deploy(dag, all_on(dag, "worker-0"))
         record = run_closed_loop(system, "lin", 1)[0]
-        text = tracer.timeline(record.invocation_id)
-        assert "invocation-start" in text
-        assert "f0 @worker-0" in text
+        text = spans.format_tree(record.invocation_id)
+        assert text.splitlines()[0].endswith("invocation")
+        assert "function f0 @worker-0" in text
 
-    def test_execution_time_unknown_function_raises(self):
-        tracer = Tracer()
-        with pytest.raises(KeyError):
-            tracer.execution_time(1, "ghost")
+    def test_step_markers_recorded_as_virtual_spans(self, env, cluster):
+        system, spans = make_traced_faasflow(cluster)
+        dag = WorkflowDAG("marked")
+        dag.add_function("a", service_time=0.05)
+        dag.add_function("a.done", is_virtual=True)
+        dag.add_function("b", service_time=0.05)
+        dag.add_edge("a", "a.done")
+        dag.add_edge("a.done", "b")
+        system.deploy(dag, round_robin(dag, cluster.worker_names()))
+        record = run_closed_loop(system, "marked", 1)[0]
+        assert_executed_correctly(dag, spans, record.invocation_id)
+        (marker,) = [
+            s for s in spans.of_kind(SpanKind.FUNCTION)
+            if s.function == "a.done"
+        ]
+        assert marker.attrs == {"virtual": True}
+        assert marker.duration == pytest.approx(
+            system.config.local_trigger_time
+        )
 
 
 class TestMasterSPTracing:
     def test_assignments_traced(self, env, cluster):
-        tracer = Tracer()
+        spans = install_spans(cluster)
         system = HyperFlowServerlessSystem(
-            cluster, EngineConfig(ship_data=False), tracer=tracer
+            cluster, EngineConfig(ship_data=False)
         )
         dag = linear_dag(n=3)
         system.register(dag, all_on(dag, "worker-2"))
         record = run_closed_loop(system, "lin", 1)[0]
-        assert tracer.count(Kind.TASK_ASSIGNED) == 3
-        counts = tracer.execution_counts(record.invocation_id)
-        assert counts == {name: 1 for name in dag.node_names}
+        assert len(state_syncs(spans, "assign")) == 3
+        assert_executed_correctly(dag, spans, record.invocation_id)
 
     def test_no_tracer_costs_nothing(self, env, cluster):
         system = HyperFlowServerlessSystem(
@@ -155,3 +144,52 @@ class TestMasterSPTracing:
         system.register(dag, all_on(dag, "worker-0"))
         record = run_closed_loop(system, "lin", 1)[0]
         assert record.status == "ok"
+        assert system.spans.enabled is False
+
+
+class TestOracle:
+    """The oracle must be able to fail: a missing, repeated, cancelled
+    or early execution is caught."""
+
+    def oracle_input(self, runs):
+        dag = WorkflowDAG("pair")
+        dag.add_function("a")
+        dag.add_function("b")
+        dag.add_edge("a", "b")
+        spans = SpanTracer(Environment())
+        for function, start, end, status in runs:
+            spans.record(
+                SpanKind.FUNCTION, start, end, invocation_id=1,
+                function=function, status=status,
+            )
+        return dag, spans
+
+    def test_accepts_one_ordered_run_each(self):
+        dag, spans = self.oracle_input(
+            [("a", 0.0, 1.0, "cancelled"), ("a", 1.0, 2.0, "ok"),
+             ("b", 2.0, 3.0, "ok")]
+        )
+        assert execution_counts(spans, 1) == {"a": 1, "b": 1}
+        assert_executed_correctly(dag, spans, 1)
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [("a", 0.0, 1.0, "ok")],
+            [("a", 0.0, 1.0, "ok"), ("b", 1.0, 2.0, "cancelled")],
+            [("a", 0.0, 1.0, "ok"), ("b", 1.0, 2.0, "ok"),
+             ("b", 2.0, 3.0, "ok")],
+        ],
+        ids=["missing", "cancelled", "repeated"],
+    )
+    def test_rejects_wrong_execution_counts(self, runs):
+        dag, spans = self.oracle_input(runs)
+        with pytest.raises(AssertionError):
+            assert_exactly_once(dag, spans, 1)
+
+    def test_rejects_successor_started_early(self):
+        dag, spans = self.oracle_input(
+            [("a", 0.0, 1.0, "ok"), ("b", 0.5, 2.0, "ok")]
+        )
+        with pytest.raises(AssertionError):
+            assert_predecessor_order(dag, spans, 1)

@@ -203,3 +203,6 @@ class TestDrainAndStats:
             ContainerSpec(max_per_function=0)
         with pytest.raises(SimulationError):
             ContainerSpec(cold_start_time=-1)
+        for keepalive in (0.0, float("inf"), float("nan")):
+            with pytest.raises(SimulationError, match="keepalive"):
+                ContainerSpec(keepalive=keepalive)

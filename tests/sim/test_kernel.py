@@ -483,12 +483,25 @@ class TestEventQueue:
             env.timeout(-0.5)
 
     def test_unschedulable_time_rejected(self, env):
-        nan = float("nan")
-        with pytest.raises(SimulationError, match=">= 0"):
-            env.timeout(nan)
-        with pytest.raises(SimulationError, match="cannot schedule"):
-            env.schedule_at(nan)
+        nan, inf = float("nan"), float("inf")
+        assert not env._timeout_pool  # unpooled Timeout() path
+        for bad in (nan, inf):
+            with pytest.raises(SimulationError, match="finite and >= 0"):
+                env.timeout(bad)
+            with pytest.raises(SimulationError, match="cannot schedule"):
+                env.schedule_at(bad)
+        # Recycle a timeout so the pooled timeout() path is the one taken.
+        env.timeout(1.0)
+        env.run()
+        assert env._timeout_pool
+        for bad in (nan, inf):
+            with pytest.raises(SimulationError, match="finite and >= 0"):
+                env.timeout(bad)
         assert env.queued_events == 0
+        # Nothing was queued, so the clock never jumps to infinity.
+        env.timeout(1.0)
+        env.run()
+        assert env.now == 2.0
 
 
 class TestTimeoutPooling:

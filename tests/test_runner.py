@@ -7,6 +7,8 @@ import pytest
 from repro.runner import main, run_workflow
 from repro.workloads import build
 
+from .span_oracle import assert_executed_correctly
+
 
 class TestRunWorkflow:
     def test_worker_engine_summary(self):
@@ -48,11 +50,11 @@ class TestRunWorkflow:
         assert summary.cold_starts == 0
 
     def test_trace_collects_events(self):
-        summary = run_workflow(
-            build("word-count"), invocations=1, trace=True, workers=2
-        )
-        assert summary.tracer is not None
-        assert summary.tracer.events
+        dag = build("word-count")
+        summary = run_workflow(dag, invocations=1, trace=True, workers=2)
+        (record,) = summary.records
+        assert summary.spans.root_of(record.invocation_id).status == "ok"
+        assert_executed_correctly(dag, summary.spans, record.invocation_id)
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError):
@@ -116,7 +118,17 @@ steps:
 
     def test_trace_flag_prints_timeline(self, capsys):
         assert main(["FP", "--invocations", "1", "--trace", "--workers", "2"]) == 0
-        assert "invocation-start" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        tree = out.split("first invocation span tree:\n", 1)[1]
+        assert tree.splitlines()[0].endswith("invocation")
+        assert "  function " in tree
+
+    def test_trace_flag_with_trials_says_it_is_ignored(self, capsys):
+        argv = ["WC", "--trials", "2", "--invocations", "1", "--workers", "2"]
+        assert main(argv + ["--trace"]) == 0
+        captured = capsys.readouterr()
+        assert "--trace and --trace-out are ignored" in captured.err
+        assert "span tree" not in captured.out
 
 
 class TestFaultInjection:
