@@ -124,6 +124,7 @@ class DataPolicy:
         local: bool,
         node: str = "",
     ) -> None:
+        """Account one data operation: a ``put``, ``get`` or eager ``push``."""
         self.metrics.record_transfer(
             TransferEvent(
                 workflow=dag.name,
@@ -153,9 +154,18 @@ class DataPolicy:
             )
         spans = self.cluster.spans
         if spans.enabled:
-            # The acting function (producer for puts, consumer for
-            # gets) parents the span under its own function span.
+            # The acting function (producer for puts and pushes, consumer
+            # for gets) parents the span under its own function span.
             actor = consumer if phase == "get" else producer
+            parent = spans.context_of(invocation_id, actor)
+            eager = {}
+            if phase == "push":
+                # An eager push (DataflowSP, worker-to-worker) usually
+                # lands after its producer's function span has ended:
+                # parent it under the invocation root then.
+                if parent is None:
+                    parent = spans.root_of(invocation_id)
+                eager["eager"] = True
             spans.record(
                 SpanKind.GET if phase == "get" else SpanKind.PUT,
                 self.env.now - duration,
@@ -163,10 +173,11 @@ class DataPolicy:
                 invocation_id=invocation_id,
                 function=actor,
                 node=node,
-                parent=spans.context_of(invocation_id, actor),
+                parent=parent,
                 producer=producer,
                 size=size,
                 local=local,
+                **eager,
             )
 
     def _remote_put(self, node, dag, invocation_id, function, chunk, size):
@@ -403,9 +414,10 @@ class FaaStorePolicy(DataPolicy):
                 )
                 self._refcounts[slot] = consumers_on_node
                 yield seeded
-                self._record_push(
-                    dag, invocation_id, producer, size,
-                    self.env.now - start, dst_node.name,
+                self._record(
+                    dag, invocation_id, producer, "", size,
+                    self.env.now - start, "push", local=False,
+                    node=dst_node.name,
                 )
             else:
                 self._spill(dag, invocation_id, producer, dst_node, size, "push")
@@ -413,58 +425,6 @@ class FaaStorePolicy(DataPolicy):
             self._inflight.pop(slot, None)
             if not arrival.triggered:
                 arrival.succeed()
-
-    def _record_push(
-        self, dag, invocation_id, producer, size, duration, node: str
-    ) -> None:
-        """Account an eager push (phase ``"push"``, worker-to-worker)."""
-        self.metrics.record_transfer(
-            TransferEvent(
-                workflow=dag.name,
-                invocation_id=invocation_id,
-                producer=producer,
-                consumer="",
-                size=size,
-                duration=duration,
-                phase="push",
-                local=False,
-            )
-        )
-        telemetry = self.cluster.telemetry
-        if telemetry.enabled:
-            telemetry.inc(
-                "data.bytes", size,
-                workflow=dag.name, node=node, phase="push", local="remote",
-            )
-            telemetry.inc(
-                "data.ops", 1.0,
-                workflow=dag.name, node=node, phase="push", local="remote",
-            )
-            telemetry.observe(
-                "data.seconds", duration,
-                workflow=dag.name, node=node, phase="push", local="remote",
-            )
-        spans = self.cluster.spans
-        if spans.enabled:
-            # Producer function spans have usually ended by push time
-            # (propagation is post-execute), so parent under the
-            # invocation root when the function context is gone.
-            parent = spans.context_of(invocation_id, producer)
-            if parent is None:
-                parent = spans.root_of(invocation_id)
-            spans.record(
-                SpanKind.PUT,
-                self.env.now - duration,
-                workflow=dag.name,
-                invocation_id=invocation_id,
-                function=producer,
-                node=node,
-                parent=parent,
-                producer=producer,
-                size=size,
-                local=False,
-                eager=True,
-            )
 
     def _spill(self, dag, invocation_id, function, node, size, phase) -> None:
         """Note a quota overflow: the local store refused the object."""

@@ -34,6 +34,7 @@ from ..obs.spans import SpanKind
 from ..obs.telemetry import record_invocation_metrics
 from ..sim import Cluster, Node, Resource
 from .config import EngineConfig
+from .control import send_control
 from .faastore import DataPolicy, RemoteStorePolicy
 from .faults import (
     CancelCause,
@@ -307,26 +308,11 @@ class HyperFlowServerlessSystem:
         if not fn.is_virtual and not skipped:
             worker = fn.worker
             self.messages_sent += 1
-            assign_start = self.env.now
-            yield self.cluster.network.message(
-                self.master.nic,
-                worker.nic,
-                self.config.assign_message_size,
-                tag=fn.assign_tag,
+            yield send_control(
+                self.cluster.network, self.spans, self.master, worker,
+                self.config.assign_message_size, fn.assign_tag, "assign",
+                dag.name, invocation_id, fn.name,
             )
-            if self.spans.enabled:
-                self.spans.record(
-                    SpanKind.STATE_SYNC,
-                    assign_start,
-                    self.env.now,
-                    workflow=dag.name,
-                    invocation_id=invocation_id,
-                    function=fn.name,
-                    node=self.master.name,
-                    parent=self.spans.root_of(invocation_id),
-                    role="assign",
-                    dst=worker.name,
-                )
             # Stage 2: the worker executes the function task, inline in
             # this coordinator process.  The runtime node-binds the
             # coordinator for the duration of the attempt ladder —
@@ -358,26 +344,11 @@ class HyperFlowServerlessSystem:
             record.retries += result.retries
             # Stage 3: the execution state returns to the master.
             self.messages_sent += 1
-            result_start = self.env.now
-            yield self.cluster.network.message(
-                worker.nic,
-                self.master.nic,
-                self.config.result_message_size,
-                tag=fn.result_tag,
+            yield send_control(
+                self.cluster.network, self.spans, worker, self.master,
+                self.config.result_message_size, fn.result_tag, "result",
+                dag.name, invocation_id, fn.name,
             )
-            if self.spans.enabled:
-                self.spans.record(
-                    SpanKind.STATE_SYNC,
-                    result_start,
-                    self.env.now,
-                    workflow=dag.name,
-                    invocation_id=invocation_id,
-                    function=fn.name,
-                    node=worker.name,
-                    parent=self.spans.root_of(invocation_id),
-                    role="result",
-                    dst=self.master.name,
-                )
         elif self.spans.enabled:
             # A step marker or a non-selected switch arm: the master's
             # bookkeeping step stands in for the execution.

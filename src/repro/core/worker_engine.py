@@ -45,6 +45,7 @@ from ..obs.spans import SpanKind
 from ..obs.telemetry import record_invocation_metrics
 from ..sim import Cluster, Node, Resource
 from .config import EngineConfig
+from .control import send_control
 from .faastore import DataPolicy, FaaStorePolicy
 from .faults import (
     CancelCause,
@@ -469,27 +470,12 @@ class WorkerEngine:
             except FunctionFailure:
                 # The task exhausted its retries: report the failure to
                 # the client like a sink would report success.
-                report_start = self.env.now
-                yield system.network.message(
-                    self.node.nic,
-                    system.client_node.nic,
-                    system.config.result_message_size,
-                    tag=entry.fail_tag,
+                yield send_control(
+                    system.network, system.spans, self.node,
+                    system.client_node, system.config.result_message_size,
+                    entry.fail_tag, "failure-report", structure.workflow,
+                    invocation_id, function,
                 )
-                spans = system.spans
-                if spans.enabled:
-                    spans.record(
-                        SpanKind.STATE_SYNC,
-                        report_start,
-                        self.env.now,
-                        workflow=structure.workflow,
-                        invocation_id=invocation_id,
-                        function=function,
-                        node=self.node.name,
-                        parent=spans.root_of(invocation_id),
-                        role="failure-report",
-                        dst=system.client_node.name,
-                    )
                 system.invocation_failed(
                     structure.workflow, invocation_id, function
                 )
@@ -551,28 +537,13 @@ class WorkerEngine:
         entry: _FnDispatch,
     ) -> Generator:
         """A sink finished: report the execution state to the client."""
-        report_start = self.env.now
-        yield self.system.network.message(
-            self.node.nic,
-            self.system.client_node.nic,
-            self.system.config.result_message_size,
-            tag=entry.sink_tag,
+        system = self.system
+        yield send_control(
+            system.network, system.spans, self.node, system.client_node,
+            system.config.result_message_size, entry.sink_tag, "sink-report",
+            structure.workflow, invocation_id, entry.name,
         )
-        spans = self.system.spans
-        if spans.enabled:
-            spans.record(
-                SpanKind.STATE_SYNC,
-                report_start,
-                self.env.now,
-                workflow=structure.workflow,
-                invocation_id=invocation_id,
-                function=entry.name,
-                node=self.node.name,
-                parent=spans.root_of(invocation_id),
-                role="sink-report",
-                dst=self.system.client_node.name,
-            )
-        self.system.sink_completed(structure.workflow, invocation_id)
+        system.sink_completed(structure.workflow, invocation_id)
 
     def _deliver(
         self,
@@ -593,31 +564,12 @@ class WorkerEngine:
             yield self.env.timeout(system.config.local_trigger_time)
         else:
             engine = remote
-            sync_start = self.env.now
-            yield system.network.message(
-                self.node.nic, remote.node.nic, size, tag=tag
-            )
             count = len(dest_entries)
-            spans = system.spans
-            if spans.enabled:
-                if count == 1:
-                    role, extra = self._sync_role, {}
-                else:
-                    role = f"{self._sync_role}-batch"
-                    extra = {"batch": count}
-                spans.record(
-                    SpanKind.STATE_SYNC,
-                    sync_start,
-                    self.env.now,
-                    workflow=structure.workflow,
-                    invocation_id=invocation_id,
-                    function=dest_entries[0].name,
-                    node=self.node.name,
-                    parent=spans.root_of(invocation_id),
-                    role=role,
-                    dst=remote.node.name,
-                    **extra,
-                )
+            yield send_control(
+                system.network, system.spans, self.node, remote.node, size,
+                tag, self._sync_role, structure.workflow, invocation_id,
+                dest_entries[0].name, count,
+            )
             remote.states_synced += count
         if engine.down:
             engine._defer("update", dest_structure, invocation_id, dest_entries)
@@ -978,26 +930,11 @@ class FaaSFlowSystem:
         entry: _FnDispatch,
         tag: str,
     ) -> Generator:
-        send_start = self.env.now
-        yield self.network.message(
-            self.client_node.nic,
-            engine.node.nic,
-            self.config.assign_message_size,
-            tag=tag,
+        yield send_control(
+            self.network, self.spans, self.client_node, engine.node,
+            self.config.assign_message_size, tag, "invoke",
+            structure.workflow, invocation_id, entry.name,
         )
-        if self.spans.enabled:
-            self.spans.record(
-                SpanKind.STATE_SYNC,
-                send_start,
-                self.env.now,
-                workflow=structure.workflow,
-                invocation_id=invocation_id,
-                function=entry.name,
-                node=self.client_node.name,
-                parent=self.spans.root_of(invocation_id),
-                role="invoke",
-                dst=engine.node.name,
-            )
         if engine.down:
             engine._defer("trigger", structure, invocation_id, (entry,))
             return

@@ -6,7 +6,10 @@ task passed through (``queue-wait``, ``cold-start``, ``execute``,
 ``put``/``get``) — plus control-plane ``state-sync`` spans and
 node-track spans from the simulation substrate itself (network
 transfers with their contention-induced slowdown, container lifecycle
-events, FaaStore spills).
+events, FaaStore spills).  ``Network.message`` records no span, so each
+control message has exactly one, the ``state-sync`` span its sender
+records (``repro.core.control.send_control``); a FaaStore eager push
+sent the same way has its ``put`` span (``eager=True``).
 
 The tracer is opt-in and *zero-cost when disabled*: every producer
 holds :data:`NULL_SPANS`, a :class:`NullSpanTracer` whose methods are
@@ -62,6 +65,8 @@ class SpanKind:
     GET = "get"
     # Node-track spans from the substrate (not part of the breakdown —
     # the data plane's puts/gets already account for the wire time).
+    # A ``net`` span covers a flow, a local copy or a small transfer(),
+    # never a ``Network.message`` (its sender records the one span).
     NET = "net"
     CONTAINER = "container"
     SPILL = "spill"
@@ -219,6 +224,10 @@ def decompose(
     return components
 
 
+# Span attrs format_span_tree shows in the status suffix when true.
+_MARKS = ("virtual", "skipped")
+
+
 def span_tree(spans: Iterable[Span]) -> list[tuple[int, Span]]:
     """Depth-first (depth, span) pairs of a span list.
 
@@ -244,12 +253,19 @@ def span_tree(spans: Iterable[Span]) -> list[tuple[int, Span]]:
 
 
 def format_span_tree(spans: Iterable[Span]) -> str:
-    """Human-readable rendering of :func:`span_tree`."""
+    """Human-readable rendering of :func:`span_tree`.
+
+    The bracketed suffix lists a status other than ``ok`` and marks a
+    ``function`` span that ran nothing: ``virtual`` (a step marker) or
+    ``skipped`` (a non-selected switch arm).
+    """
     lines = []
     for depth, span in span_tree(spans):
         subject = f" {span.function}" if span.function else ""
         location = f" @{span.node}" if span.node else ""
-        status = f" [{span.status}]" if span.status != "ok" else ""
+        marks = [span.status] if span.status != "ok" else []
+        marks += [mark for mark in _MARKS if span.attrs.get(mark)]
+        status = f" [{', '.join(marks)}]" if marks else ""
         lines.append(
             f"{span.start:10.4f} {span.duration * 1000:9.3f}ms  "
             f"{'  ' * depth}{span.kind}{subject}{location}{status}"

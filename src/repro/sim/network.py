@@ -44,7 +44,8 @@ completion times.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
@@ -63,6 +64,11 @@ _INF = float("inf")
 # Up to this many classes, water-filling skips its level cache: the
 # bookkeeping would cost more than the divisions it saves.
 _SMALL_COMPONENT = 8
+# Delivery time of a control message a node sends to itself.
+_LOOPBACK_LATENCY = 0.00005
+# Rows the ``Network.records`` ledger keeps; the byte counters stay
+# exact past it.
+RECORD_LIMIT = 2_000_000
 
 
 class _Link:
@@ -240,12 +246,9 @@ class NetworkConfig:
     latency: float = 0.0005  # one-way propagation latency, seconds
     message_threshold: float = 64 * KB  # below this, skip the fluid model
     local_copy_rate: float = 4096 * MB  # intra-node memcpy bandwidth
-    record_transfers: bool = True
-    record_limit: int = 2_000_000
     # False forces full water-filling over every class at each flow
     # event — the reference the incremental allocator is tested against.
     incremental: bool = True
-    extra: dict = field(default_factory=dict)
 
 
 class Network:
@@ -275,7 +278,7 @@ class Network:
         # order, read back as TransferRecords through ``records``.
         self._record_rows: list[tuple] = []
         self.records = RecordView(_transfer_record, self._record_rows)
-        # Incremental byte counters: exact regardless of record_limit.
+        # Incremental byte counters: exact regardless of RECORD_LIMIT.
         self._pair_bytes: dict[tuple[str, str], float] = {}
         self.total_bytes = 0.0
         self.nonlocal_bytes = 0.0
@@ -354,12 +357,18 @@ class Network:
         return done
 
     def message(self, src: NIC, dst: NIC, size: float = 1 * KB, tag: str = "") -> Event:
-        """A latency-dominated control message, never contention-modeled."""
+        """A latency-dominated control message, never contention-modeled.
+
+        The message is accounted like any transfer (ledger row, NIC and
+        pair bytes, ``message_count``, ``net.*`` telemetry) but records
+        no span: its sender records the one span it gets (a control
+        message's ``state-sync`` span, see
+        ``repro.core.control.send_control``).
+        """
         if size < 0:
             raise SimulationError(f"negative message size {size}")
-        started = self.env.now
         if src is dst:
-            duration = self.config.extra.get("loopback_latency", 0.00005)
+            duration = _LOOPBACK_LATENCY
         else:
             duration = self.config.latency + size / min(src.bandwidth, dst.bandwidth)
         self.message_count += 1
@@ -369,11 +378,9 @@ class Network:
         # keeps a separate done event — flow completion is decided by
         # the bandwidth-sharing model, not by a pre-computed timer.)
         timer = self.env.timeout(duration)
-
-        def _finish(_: Event) -> None:
-            self._record(src, dst, size, started, "message", tag)
-
-        timer.callbacks.append(_finish)
+        timer.callbacks.append(
+            partial(self._record, src, dst, size, self.env.now, "message", tag)
+        )
         return timer
 
     # -- internals -------------------------------------------------------
@@ -390,14 +397,24 @@ class Network:
     ) -> None:
         def _finish(_: Event) -> None:
             self._record(src, dst, size, started, kind, tag)
+            if self.spans.enabled:
+                self._record_span(src, dst, size, started, kind, tag)
             done.succeed()
 
         timer = self.env.timeout(duration)
         timer.callbacks.append(_finish)
 
     def _record(
-        self, src: NIC, dst: NIC, size: float, started: float, kind: str, tag: str
+        self,
+        src: NIC,
+        dst: NIC,
+        size: float,
+        started: float,
+        kind: str,
+        tag: str,
+        _event: Optional[Event] = None,
     ) -> None:
+        """Account one completed transfer (``_event``: its delivery timer)."""
         self.total_bytes += size
         src.egress.bytes_carried += size
         if dst is not src:
@@ -427,30 +444,32 @@ class Network:
                 )
             handles[0].inc(size)
             handles[1].inc(1.0)
-        if self.spans.enabled:
-            # Contention-induced slowdown: actual wire time over the
-            # uncontended time the same bytes would have taken.
-            actual = self.env.now - started
-            if src is dst:
-                ideal = size / self.config.local_copy_rate
-            else:
-                ideal = self.config.latency + size / min(
-                    src.bandwidth, dst.bandwidth
-                )
-            self.spans.record(
-                SpanKind.NET,
-                started,
-                self.env.now,
-                node=src.name,
-                transfer=kind,
-                dst=dst.name,
-                size=size,
-                tag=tag,
-                slowdown=round(actual / ideal, 4) if ideal > 0 else 1.0,
-            )
         rows = self._record_rows
-        if self.config.record_transfers and len(rows) < self.config.record_limit:
+        if len(rows) < RECORD_LIMIT:
             rows.append((src.name, dst.name, size, started, self.env.now, kind, tag))
+
+    def _record_span(
+        self, src: NIC, dst: NIC, size: float, started: float, kind: str, tag: str
+    ) -> None:
+        """The ``net`` span of a completed transfer (not of a message)."""
+        # Contention-induced slowdown: actual wire time over the
+        # uncontended time the same bytes would have taken.
+        actual = self.env.now - started
+        if src is dst:
+            ideal = size / self.config.local_copy_rate
+        else:
+            ideal = self.config.latency + size / min(src.bandwidth, dst.bandwidth)
+        self.spans.record(
+            SpanKind.NET,
+            started,
+            self.env.now,
+            node=src.name,
+            transfer=kind,
+            dst=dst.name,
+            size=size,
+            tag=tag,
+            slowdown=round(actual / ideal, 4) if ideal > 0 else 1.0,
+        )
 
     def set_nic_bandwidth(self, nic: NIC, bandwidth: float) -> None:
         """Reconfigure a NIC mid-run; active flows re-share immediately.
@@ -653,13 +672,13 @@ class Network:
                     fclass.order = next(iter(fclass.flows)).flow_id
                     self._order_sorted = False
             self._record(
-                flow.src,
-                flow.dst,
-                flow.size,
-                flow.started_at,
-                "flow",
-                flow.tag,
+                flow.src, flow.dst, flow.size, flow.started_at, "flow", flow.tag
             )
+            if self.spans.enabled:
+                self._record_span(
+                    flow.src, flow.dst, flow.size, flow.started_at, "flow",
+                    flow.tag,
+                )
             # Tail latency of the last byte crossing the wire.
             done = flow.done
             tail = self.env.timeout(self.config.latency)
@@ -814,7 +833,7 @@ class Network:
         """Total bytes moved from node ``src`` to node ``dst``.
 
         Backed by an incremental per-pair counter updated as transfers
-        complete, so it stays exact past ``record_limit`` — the
+        complete, so it stays exact past ``RECORD_LIMIT`` — the
         ``records`` ledger is a capped debugging aid, not the
         accounting source.
         """

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    DataflowSystem,
     EngineConfig,
     FaaSFlowSystem,
     HyperFlowServerlessSystem,
@@ -11,6 +12,7 @@ from repro.clients import run_closed_loop
 from repro.dag import WorkflowDAG
 from repro.obs import SpanKind, SpanTracer
 from repro.sim import Environment
+from repro.sim.network import KB
 
 from ..span_oracle import (
     assert_executed_correctly,
@@ -145,6 +147,49 @@ class TestMasterSPTracing:
         record = run_closed_loop(system, "lin", 1)[0]
         assert record.status == "ok"
         assert system.spans.enabled is False
+
+
+class TestControlMessageSpans:
+    """Each control message has exactly one span: its ``state-sync``."""
+
+    @pytest.mark.parametrize(
+        "system_cls",
+        [HyperFlowServerlessSystem, FaaSFlowSystem, DataflowSystem],
+        ids=["master", "worker", "dataflow"],
+    )
+    def test_one_span_per_message(self, env, cluster, system_cls):
+        spans = install_spans(cluster)
+        network = cluster.network
+        sent = []  # (send time, tag) of every Network.message
+        message = network.message
+
+        def spy(src, dst, size=1 * KB, tag=""):
+            sent.append((env.now, tag))
+            return message(src, dst, size, tag)
+
+        network.message = spy
+        system = system_cls(cluster, EngineConfig())
+        dag = fanout_dag(branches=3)
+        placement = round_robin(dag, cluster.worker_names())
+        if system_cls is HyperFlowServerlessSystem:
+            system.register(dag, placement)
+        else:
+            system.deploy(dag, placement)
+        run_closed_loop(system, "fan", 2)
+        # FaaStore's eager pushes (DataflowSP) travel as messages too,
+        # but carry data, not control.
+        control = [m for m in sent if not m[1].startswith("push:")]
+        assert len(control) > 0
+        assert len(spans.of_kind(SpanKind.STATE_SYNC)) == len(control)
+        net_spans = spans.of_kind(SpanKind.NET)
+        assert net_spans  # data transfers keep theirs
+        assert not {(s.start, s.attrs["tag"]) for s in net_spans} & set(sent)
+        # A sub-threshold transfer() still records its net span.
+        src, dst = (cluster.node(w).nic for w in cluster.worker_names()[:2])
+        env.run(until=network.transfer(src, dst, 1 * KB, tag="probe"))
+        (probe,) = [s for s in spans.of_kind(SpanKind.NET)
+                    if s.attrs["tag"] == "probe"]
+        assert probe.attrs["transfer"] == "message"
 
 
 class TestOracle:

@@ -320,3 +320,16 @@ class TestSpanTree:
         )
         text = format_span_tree([span])
         assert "execute f @worker-0 [crashed]" in text
+
+    def test_format_marks_functions_that_ran_nothing(self):
+        spans = [
+            _span(SpanKind.FUNCTION, 0.0, 1.0, span_id=1, function="a"),
+            _span(SpanKind.FUNCTION, 1.0, 1.0, span_id=2, function="a.done",
+                  attrs={"virtual": True}),
+            _span(SpanKind.FUNCTION, 1.0, 1.0, span_id=3, function="blur",
+                  status="cancelled", attrs={"skipped": True}),
+        ]
+        lines = format_span_tree(spans).splitlines()
+        assert lines[0].endswith("function a")
+        assert lines[1].endswith("function a.done [virtual]")
+        assert lines[2].endswith("function blur [cancelled, skipped]")

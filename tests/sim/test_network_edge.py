@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import network
 from repro.sim.kernel import Environment
 from repro.sim.network import KB, MB, Network, NetworkConfig, TransferRecord
 
@@ -48,9 +49,9 @@ class TestBandwidthReconfiguration:
 
 
 class TestRecordLimits:
-    def test_record_limit_caps_ledger(self):
-        env, net = make_net(extra={})
-        net.config.record_limit = 5
+    def test_record_limit_caps_ledger(self, monkeypatch):
+        monkeypatch.setattr(network, "RECORD_LIMIT", 5)
+        env, net = make_net()
         a = net.attach("a", 100 * MB)
         b = net.attach("b", 100 * MB)
         for _ in range(10):
@@ -91,15 +92,6 @@ class TestRecordLimits:
         changed = net.records[0]._replace(size=0.0, tag="x")
         assert changed.size == 0.0
         assert net.records[0].size == 1 * MB and net.records[0].tag == ""
-
-    def test_record_transfers_disabled(self):
-        env, net = make_net()
-        net.config.record_transfers = False
-        a = net.attach("a", 100 * MB)
-        b = net.attach("b", 100 * MB)
-        env.run(until=net.transfer(a, b, 1 * MB))
-        assert net.records == []
-        assert net.total_bytes == pytest.approx(1 * MB)
 
 
 class TestManyFlows:

@@ -122,6 +122,14 @@ steps:
         tree = out.split("first invocation span tree:\n", 1)[1]
         assert tree.splitlines()[0].endswith("invocation")
         assert "  function " in tree
+        # Step markers print marked; executed functions do not.
+        functions = [
+            line for line in tree.splitlines() if "  function " in line
+        ]
+        (marker,) = [line for line in functions if " process.start " in line]
+        assert marker.endswith("[virtual]")
+        assert not any(line.endswith("]") for line in functions
+                       if " process." not in line)
 
     def test_trace_flag_with_trials_says_it_is_ignored(self, capsys):
         argv = ["WC", "--trials", "2", "--invocations", "1", "--workers", "2"]
