@@ -1,25 +1,28 @@
-"""Telemetry-overhead A/B bench: instrumented engines vs NullRegistry.
+"""Instrumentation-overhead A/B bench: telemetry and spans vs off.
 
 Runs the same engine workload (a spread of realworld + synthetic cells
-through ``run_workflow_cells``) twice over:
+through ``run_workflow_cells``) three times over:
 
-- **off** — the default ``NULL_TELEMETRY`` path: every producer holds
-  the null registry and pays one ``enabled`` attribute check per
-  would-be emit;
+- **off** — the default ``NULL_TELEMETRY`` and ``NULL_SPANS`` path:
+  every producer holds the null objects and pays one ``enabled``
+  attribute check per would-be emit or span;
 - **on** — ``collect_telemetry=True``: a ``MetricsRegistry`` on the
   simulated clock receives every engine/runtime/faastore/network/
-  container emit and each cell ships a full snapshot.
+  container emit and each cell ships a full snapshot;
+- **spans** — ``trace=True`` with telemetry off: a ``SpanTracer``
+  records every invocation's span tree into its ring.
 
-The headline number is the instrumented-over-off wall-clock ratio
-(best-of rounds on both sides); CI gates on ``overhead_ratio`` staying
-under ``_MAX_OVERHEAD_RATIO``.  The full size is 1000 invocations per
-cell, 4000 in all, the size of one perfbench ``observed`` round, so the
-cost is measured at serving scale.  Each side also reports the seconds
-its best round spent in CPython's cyclic garbage collector (timed
-through ``gc.callbacks``).  The bench also re-asserts the sharded
-merge contract — per-cell snapshots merged in cell order at S=2 must be
-bit-identical to the shards=1 run — so a determinism regression
-invalidates the bench, not just a test.
+The headline number is the telemetry-over-off wall-clock ratio
+(best-of rounds on every side); CI gates on ``overhead_ratio`` staying
+under ``_MAX_OVERHEAD_RATIO``.  ``spans_overhead_ratio`` is the same
+ratio for the spans side; it is recorded, not gated.  The full size is
+1000 invocations per cell, 4000 in all, the size of one perfbench
+``observed`` round, so the cost is measured at serving scale.  Each
+side also reports the seconds its best round spent in CPython's cyclic
+garbage collector (timed through ``gc.callbacks``).  The bench also
+re-asserts the sharded merge contract — per-cell snapshots merged in
+cell order at S=2 must be bit-identical to the shards=1 run — so a
+determinism regression invalidates the bench, not just a test.
 
 Run directly (``PYTHONPATH=src python benchmarks/test_bench_obs.py``)
 to refresh the committed ``BENCH_obs.json``; ``--quick`` is the CI
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -60,8 +64,7 @@ _WORKLOADS = [
 ]
 
 
-def _cells(invocations: int, telemetry: bool) -> list[dict]:
-    extra = {"collect_telemetry": True} if telemetry else {}
+def _cells(invocations: int, **extra) -> list[dict]:
     return [
         make_workflow_cell(
             workload, engine=engine, seed=seed,
@@ -120,8 +123,9 @@ def _canon(snapshot) -> str:
 
 
 def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
-    off_cells = _cells(invocations, telemetry=False)
-    on_cells = _cells(invocations, telemetry=True)
+    off_cells = _cells(invocations)
+    on_cells = _cells(invocations, collect_telemetry=True)
+    spans_cells = _cells(invocations, trace=True)
     total_invocations = invocations * len(_WORKLOADS)
 
     # Merge contract first: cells sharded at S=2 must merge to the exact
@@ -143,6 +147,9 @@ def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
     on_wall, on_gc = _best_of(
         lambda: run_workflow_cells(on_cells, jobs=1), rounds
     )
+    spans_wall, spans_gc = _best_of(
+        lambda: run_workflow_cells(spans_cells, jobs=1), rounds
+    )
     return {
         "invocations_per_cell": invocations,
         "cells": len(_WORKLOADS),
@@ -152,9 +159,12 @@ def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
         "on_wall_seconds": round(on_wall, 6),
         "off_gc_seconds": round(off_gc, 6),
         "on_gc_seconds": round(on_gc, 6),
+        "spans_wall_seconds": round(spans_wall, 6),
+        "spans_gc_seconds": round(spans_gc, 6),
         "off_invocations_per_sec": round(total_invocations / off_wall, 2),
         "on_invocations_per_sec": round(total_invocations / on_wall, 2),
         "overhead_ratio": round(on_wall / off_wall, 4),
+        "spans_overhead_ratio": round(spans_wall / off_wall, 4),
         "sharded_merge_identical": True,
     }
 
@@ -169,6 +179,7 @@ def test_telemetry_overhead_bounded(benchmark):
     assert result["sharded_merge_identical"]
     assert result["metric_series"] > 0
     assert result["overhead_ratio"] < _MAX_OVERHEAD_RATIO
+    assert math.isfinite(result["spans_overhead_ratio"])
 
 
 def main(argv=None) -> int:
@@ -178,12 +189,14 @@ def main(argv=None) -> int:
     rounds = 1 if quick else _ROUNDS
     result = _measure(invocations, rounds=rounds)
     payload = {
-        "bench": "engine wall clock with streaming telemetry on vs off "
-        f"(best of {rounds} round(s) per side)",
-        "baseline": "NULL_TELEMETRY zero-cost-off path (one enabled-check "
-        "per would-be emit)",
+        "bench": "engine wall clock with streaming telemetry on, and with "
+        f"spans on, vs off (best of {rounds} round(s) per side)",
+        "baseline": "NULL_TELEMETRY and NULL_SPANS zero-cost-off path (one "
+        "enabled-check per would-be emit or span)",
         "instrumented": "MetricsRegistry on the simulated clock: engines, "
         "runtime, faastore, network, and containers all emitting",
+        "spans": "SpanTracer (trace=True) with telemetry off: every "
+        "invocation's span tree recorded into the ring",
         "workload": "run_workflow_cells over layered_random/cycles/"
         "video-ffmpeg/genome cells, both engine modes",
         "invariant": "S=2 sharded per-cell snapshots merged in cell order "

@@ -4,7 +4,7 @@ Every control message an engine sends goes through :func:`send_control`:
 MasterSP task assignments and results, WorkerSP state and DataflowSP
 token syncs (single or batched), invocation requests, and sink and
 failure reports to the client.  :meth:`repro.sim.network.Network.message`
-accounts the message (ledger row, NIC and pair bytes, ``net.*``
+accounts the message (NIC and pair bytes, ``message_count``, ``net.*``
 telemetry) and records no span, so each message has exactly one span.
 """
 

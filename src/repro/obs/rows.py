@@ -1,18 +1,18 @@
 """Retained records stored as rows of atoms, read back as record objects.
 
-A long run retains hundreds of thousands of records: completed spans,
-network transfers, storage transfers.  CPython's cyclic garbage
-collector re-scans every tracked container at each full collection, and
-a dataclass instance or a ``NamedTuple`` stays tracked for life.  An
-exact ``tuple`` whose items are all atoms (``str``, ``int``, ``float``,
-``bool``, ``None``) is untracked at the first collection that sees it,
-and so is a ``dict`` holding only atoms.
+A long run retains hundreds of thousands of records: completed spans
+and storage transfers.  CPython's cyclic garbage collector re-scans
+every tracked container at each full collection, and a dataclass
+instance stays tracked for life.  An exact ``tuple`` whose items are
+all atoms (``str``, ``int``, ``float``, ``bool``, ``None``) is
+untracked at the first collection that sees it, and so is a ``dict``
+holding only atoms.
 
 The row format, shared by every store that uses :class:`RecordView`:
 
 - a row is an exact ``tuple`` of the record's field values, in the
-  record type's declaration order (:func:`row_fields`), and holds atoms
-  only;
+  record dataclass's declaration order (:func:`row_fields`), and holds
+  atoms only;
 - a field whose value is a mutable container (``Span.attrs``) is left
   out of the row and kept in a parallel column: a dict inside the tuple
   would keep the tuple tracked, and an extra tuple per row would be an
@@ -33,12 +33,10 @@ __all__ = ["RecordView", "row_fields", "row_of"]
 
 
 def row_fields(record_type: type, *, omit: tuple[str, ...] = ()) -> tuple[str, ...]:
-    """The row layout of ``record_type``: its field names, minus ``omit``."""
-    if dataclasses.is_dataclass(record_type):
-        names = tuple(f.name for f in dataclasses.fields(record_type))
-    else:
-        names = record_type._fields
-    return tuple(name for name in names if name not in omit)
+    """The row layout of dataclass ``record_type``: its fields minus ``omit``."""
+    return tuple(
+        f.name for f in dataclasses.fields(record_type) if f.name not in omit
+    )
 
 
 def row_of(record_type: type, *, omit: tuple[str, ...] = ()) -> Callable:

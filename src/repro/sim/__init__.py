@@ -18,7 +18,7 @@ from .kernel import (
     StopProcess,
     Timeout,
 )
-from .network import KB, MB, NIC, Network, NetworkConfig, TransferRecord
+from .network import KB, MB, NIC, Network, NetworkConfig
 from .resources import (
     CPUAllocator,
     MemoryAccount,
@@ -70,6 +70,5 @@ __all__ = [
     "StorageStats",
     "Store",
     "Timeout",
-    "TransferRecord",
     "UsageSampler",
 ]

@@ -219,8 +219,5 @@ class Cluster:
 
     @property
     def total_data_moved(self) -> float:
-        """Bytes that crossed any NIC (excludes node-local copies).
-
-        Read from the network's running counter rather than the capped
-        ``records`` ledger, so long runs stay exact."""
+        """Bytes that crossed any NIC (excludes node-local copies)."""
         return self.network.nonlocal_bytes

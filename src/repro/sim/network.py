@@ -25,12 +25,17 @@ output bit relative to flow-by-flow full water-filling:
   changed links); every other class keeps its rate and its
   remaining-bytes projection.  ``NetworkConfig(incremental=False)``
   forces full water-filling every time — the equivalence tests assert
-  both modes produce bit-identical completion times and records.
+  both modes produce bit-identical completion times.
 
 Small control messages (task assignments, state synchronization) are
 latency-dominated and bypass the fluid machinery: they cost propagation
 latency plus nominal serialization time.  The threshold separating the
 two regimes is configurable.
+
+Every completed transfer is accounted by one routine, ``Network._record``:
+NIC, pair and total byte counters, ``net.*`` telemetry.  The network
+keeps no per-transfer history; a caller that needs one row per transfer
+(the shard merge, tests) attaches :func:`record_transfers`.
 
 Flow byte-counters settle only at their *own* component's rebalances,
 and completions are scheduled at absolute times via
@@ -47,14 +52,13 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
-from ..obs.rows import RecordView
 from ..obs.spans import NULL_SPANS, SpanKind
 from ..obs.telemetry import NULL_TELEMETRY
 from .kernel import Environment, Event, SimulationError, Timeout
 
-__all__ = ["NIC", "Network", "Flow", "TransferRecord", "MB", "KB"]
+__all__ = ["NIC", "Network", "Flow", "record_transfers", "MB", "KB"]
 
 KB = 1024.0
 MB = 1024.0 * 1024.0
@@ -66,9 +70,6 @@ _INF = float("inf")
 _SMALL_COMPONENT = 8
 # Delivery time of a control message a node sends to itself.
 _LOOPBACK_LATENCY = 0.00005
-# Rows the ``Network.records`` ledger keeps; the byte counters stay
-# exact past it.
-RECORD_LIMIT = 2_000_000
 
 
 class _Link:
@@ -214,31 +215,6 @@ class _FlowClass:
 _CLASS_ORDER = attrgetter("order")
 
 
-class TransferRecord(NamedTuple):
-    """Ledger entry for one completed transfer (bulk or message).
-
-    Immutable, and a tuple.  ``Network.records`` stores each entry as a
-    plain tuple of the same fields (see :mod:`repro.obs.rows`) and
-    builds a ``TransferRecord`` per access.
-    """
-
-    src: str
-    dst: str
-    size: float
-    started_at: float
-    finished_at: float
-    kind: str  # "flow", "message", or "local"
-    tag: str = ""
-
-    @property
-    def duration(self) -> float:
-        return self.finished_at - self.started_at
-
-
-def _transfer_record(row: tuple) -> TransferRecord:
-    return tuple.__new__(TransferRecord, row)
-
-
 @dataclass
 class NetworkConfig:
     """Tuning knobs for the network model."""
@@ -249,6 +225,13 @@ class NetworkConfig:
     # False forces full water-filling over every class at each flow
     # event — the reference the incremental allocator is tested against.
     incremental: bool = True
+
+    def __post_init__(self) -> None:
+        for attr in ("latency", "message_threshold"):
+            if not 0 <= getattr(self, attr) < _INF:
+                raise SimulationError(f"{attr} must be finite and >= 0")
+        if not 0 < self.local_copy_rate < _INF:
+            raise SimulationError("local_copy_rate must be finite and > 0")
 
 
 class Network:
@@ -274,11 +257,7 @@ class Network:
         # iterates in allocation order until a class outlives its oldest
         # flow; this flag records when that sortedness breaks.
         self._order_sorted = True
-        # The ledger: one row per transfer in TransferRecord field
-        # order, read back as TransferRecords through ``records``.
-        self._record_rows: list[tuple] = []
-        self.records = RecordView(_transfer_record, self._record_rows)
-        # Incremental byte counters: exact regardless of RECORD_LIMIT.
+        # Byte and transfer counters, updated as transfers complete.
         self._pair_bytes: dict[tuple[str, str], float] = {}
         self.total_bytes = 0.0
         self.nonlocal_bytes = 0.0
@@ -312,8 +291,10 @@ class Network:
         plus nominal serialization; large transfers enter the fair-share
         fluid model.
         """
-        if size < 0:
-            raise SimulationError(f"negative transfer size {size}")
+        if not 0 <= size < _INF:
+            raise SimulationError(
+                f"transfer size must be finite and >= 0, got {size}"
+            )
         done = self.env.event()
         started = self.env.now
         if src is dst:
@@ -359,14 +340,15 @@ class Network:
     def message(self, src: NIC, dst: NIC, size: float = 1 * KB, tag: str = "") -> Event:
         """A latency-dominated control message, never contention-modeled.
 
-        The message is accounted like any transfer (ledger row, NIC and
-        pair bytes, ``message_count``, ``net.*`` telemetry) but records
-        no span: its sender records the one span it gets (a control
-        message's ``state-sync`` span, see
-        ``repro.core.control.send_control``).
+        The message is accounted like any transfer (NIC and pair bytes,
+        ``message_count``, ``net.*`` telemetry) but records no span: its
+        sender records the one span it gets (a control message's
+        ``state-sync`` span, see ``repro.core.control.send_control``).
         """
-        if size < 0:
-            raise SimulationError(f"negative message size {size}")
+        if not 0 <= size < _INF:
+            raise SimulationError(
+                f"message size must be finite and >= 0, got {size}"
+            )
         if src is dst:
             duration = _LOOPBACK_LATENCY
         else:
@@ -444,9 +426,6 @@ class Network:
                 )
             handles[0].inc(size)
             handles[1].inc(1.0)
-        rows = self._record_rows
-        if len(rows) < RECORD_LIMIT:
-            rows.append((src.name, dst.name, size, started, self.env.now, kind, tag))
 
     def _record_span(
         self, src: NIC, dst: NIC, size: float, started: float, kind: str, tag: str
@@ -833,8 +812,28 @@ class Network:
         """Total bytes moved from node ``src`` to node ``dst``.
 
         Backed by an incremental per-pair counter updated as transfers
-        complete, so it stays exact past ``RECORD_LIMIT`` — the
-        ``records`` ledger is a capped debugging aid, not the
-        accounting source.
+        complete: one number per node pair, however long the run.
         """
         return self._pair_bytes.get((src, dst), 0.0)
+
+
+def record_transfers(network: Network) -> list[tuple]:
+    """Collect one row per transfer ``network`` completes from now on.
+
+    Rows are ``(src, dst, size, started_at, finished_at, kind, tag)``
+    tuples (``kind`` is ``"flow"``, ``"message"`` or ``"local"``), in
+    completion order.  The returned list grows as the run goes on; it
+    wraps this one instance's ``_record``, so attach it before the
+    transfers it should see, and only where the rows are wanted.
+    """
+    rows: list[tuple] = []
+    append = rows.append
+    account = network._record
+    env = network.env
+
+    def _record(src, dst, size, started, kind, tag, _event=None):
+        account(src, dst, size, started, kind, tag)
+        append((src.name, dst.name, size, started, env.now, kind, tag))
+
+    network._record = _record
+    return rows

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .kernel import Environment, SimulationError
-from .network import MB, Network, NetworkConfig
+from .network import MB, Network, NetworkConfig, record_transfers
 
 __all__ = [
     "traffic_cells",
@@ -146,6 +146,7 @@ def run_network_single(
         net.telemetry = registry
     for name in node_names:
         net.attach(name, bandwidth)
+    rows = record_transfers(net)
     nic = net.nic
     transfer = net.transfer
     for at, src, dst, size in plan:
@@ -155,10 +156,7 @@ def run_network_single(
         )
     env.run()
     return {
-        "records": sorted(
-            (r.src, r.dst, r.size, r.started_at, r.finished_at, r.kind, r.tag)
-            for r in net.records
-        ),
+        "records": sorted(rows),
         "total_bytes": net.total_bytes,
         "nonlocal_bytes": net.nonlocal_bytes,
         "message_count": net.message_count,

@@ -24,6 +24,7 @@ from repro.core.runtime import FunctionRuntime
 from repro.core.faastore import FaaStorePolicy
 from repro.metrics import InvocationStatus, MetricsCollector
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
+from repro.sim.network import record_transfers
 
 from .conftest import MB, all_on, fanout_dag, linear_dag, round_robin
 
@@ -424,6 +425,7 @@ class TestNodeCrashes:
         )
         from repro.workloads import build
 
+        rows = record_transfers(cluster.network)
         dag = build("genome")
         placement = hash_partition(dag, cluster.worker_names())
         config = EngineConfig(ship_data=True)
@@ -451,19 +453,19 @@ class TestNodeCrashes:
             assert worker.nic.bandwidth == cluster.config.worker.bandwidth
         end = window.start + window.duration
         overlapping = [
-            t
-            for t in cluster.network.records
-            if t.kind == "flow" and t.started_at < end and t.finished_at > window.start
+            (src, dst, size, started_at, finished_at)
+            for src, dst, size, started_at, finished_at, kind, _ in rows
+            if kind == "flow" and started_at < end and finished_at > window.start
         ]
         # Slower than the same bytes alone on the degraded bottleneck:
         # contention alone, without the window, stays below that bound.
         assert any(
-            t.duration
-            > t.size / (window.factor * min(original[t.src], original[t.dst]))
-            for t in overlapping
+            finished_at - started_at
+            > size / (window.factor * min(original[src], original[dst]))
+            for src, dst, size, started_at, finished_at in overlapping
         )
         # Some flows are still in flight when the restore re-shares them.
-        assert any(t.finished_at > end for t in overlapping)
+        assert any(finished_at > end for *_, finished_at in overlapping)
 
 
 class TestBackoffIntegration:

@@ -28,6 +28,7 @@ from repro.core import (
 from repro.core.state import EXECUTED, TRIGGERED, reset_invocation_ids
 from repro.metrics import InvocationStatus
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
+from repro.sim.network import record_transfers
 
 from ..span_oracle import (
     assert_executed_correctly,
@@ -187,6 +188,14 @@ class TestStateRetirement:
     def _assert_retired(system, engine):
         assert system.in_flight == 0
         assert system.registry.live_count == 0
+        # The network keeps counters, not a history: nothing it holds
+        # grows past one entry per node pair.
+        network = system.cluster.network
+        assert network.active_flow_count == 0
+        pairs = len(network.nics) ** 2
+        for name, value in vars(network).items():
+            if isinstance(value, (list, dict)):
+                assert len(value) <= pairs, name
         if engine == "master":
             return  # the master keeps no per-invocation arrays outside invoke
         assert not system._contexts
@@ -272,7 +281,7 @@ class TestBatchedControlPlane:
         plain_records, plain_ledger = self._run_chain(engine, batch=False)
         batch_records, batch_ledger = self._run_chain(engine, batch=True)
         assert batch_ledger == plain_ledger
-        assert any(row.tag.startswith(("state:", "token:")) for row in plain_ledger)
+        assert any(row[6].startswith(("state:", "token:")) for row in plain_ledger)
         assert [
             (r.invocation_id, r.status, r.started_at, r.finished_at)
             for r in batch_records
@@ -284,12 +293,13 @@ class TestBatchedControlPlane:
     def _run_chain(self, engine, batch):
         reset_invocation_ids(1)
         cluster = make_cluster(workers=2)
+        ledger = record_transfers(cluster.network)
         system = make_system(engine, cluster, batch_control=batch)
         dag = linear_dag(n=4, service_time=0.05, output_size=0.0)
         system.deploy(dag, hash_partition(dag, cluster.worker_names()))
         records = run_closed_loop(system, "lin", 10)
         drain(cluster.env)
-        return records, list(cluster.network.records)
+        return records, ledger
 
 
 class TestBatchedDeliveryUnderCrash:

@@ -11,7 +11,7 @@ from repro.sim.network import (
     Network,
     NetworkConfig,
     SimulationError,
-    TransferRecord,
+    record_transfers,
 )
 
 
@@ -227,29 +227,54 @@ class TestRecords:
         env, net = make_net()
         a = net.attach("a", 10 * MB)
         b = net.attach("b", 10 * MB)
+        rows = record_transfers(net)
         done = net.transfer(a, b, 5 * MB, tag="edge:f1->f2")
         env.run(until=done)
-        assert len(net.records) == 1
-        record = net.records[0]
-        assert record.src == "a"
-        assert record.dst == "b"
-        assert record.size == 5 * MB
-        assert record.tag == "edge:f1->f2"
-        assert record.duration == pytest.approx(0.5, rel=1e-6)
+        ((src, dst, size, started_at, finished_at, kind, tag),) = rows
+        assert (src, dst, size, kind) == ("a", "b", 5 * MB, "flow")
+        assert tag == "edge:f1->f2"
+        assert finished_at - started_at == pytest.approx(0.5, rel=1e-6)
 
-    def test_record_is_immutable(self):
-        record = TransferRecord(
-            src="a", dst="b", size=1.0, started_at=1.0, finished_at=3.5,
-            kind="message",
-        )
-        with pytest.raises(AttributeError):
-            record.src = "c"
-        with pytest.raises(AttributeError):
-            record.finished_at = 0.0
-        assert record.tag == ""
-        assert record.duration == 2.5
-        # Positional rebuild, as shard ingestion does.
-        assert TransferRecord(*tuple(record)) == record
+    def test_rows_start_at_attach(self):
+        env, net = make_net()
+        a = net.attach("a", 10 * MB)
+        b = net.attach("b", 10 * MB)
+        env.run(until=net.message(a, b))
+        rows = record_transfers(net)
+        env.run(until=net.message(b, a, 2 * KB))
+        assert [row[:3] for row in rows] == [("b", "a", 2 * KB)]
+        assert net.message_count == 2
+
+    def test_rows_agree_with_counters(self):
+        """One mixed run: every counter is the sum of its rows."""
+        env = Environment()
+        net = Network(env, NetworkConfig(latency=0.001, message_threshold=64 * KB))
+        a = net.attach("a", 10 * MB)
+        b = net.attach("b", 10 * MB)
+        c = net.attach("c", 20 * MB)
+        rows = record_transfers(net)
+        net.transfer(a, a, 2 * MB, tag="local")
+        net.transfer(a, b, 10 * KB, tag="small")
+        net.message(b, c, 1 * KB, tag="message")
+        net.message(c, c, 1 * KB, tag="loopback")
+        for src, dst, size in ((a, b, 5 * MB), (c, b, 3 * MB), (a, c, 4 * MB)):
+            net.transfer(src, dst, size, tag="flow")
+        assert net.active_flow_count == 3
+        env.run()
+        assert net.active_flow_count == 0
+        assert len(rows) == 7
+        assert {row[5] for row in rows} == {"local", "message", "flow"}
+        assert [row[4] for row in rows] == sorted(row[4] for row in rows)
+        assert sum(row[2] for row in rows) == net.total_bytes
+        assert sum(row[2] for row in rows if row[5] != "local") == net.nonlocal_bytes
+        pairs = {}
+        for src, dst, size, *_ in rows:
+            pairs[src, dst] = pairs.get((src, dst), 0.0) + size
+        for src, dst in ((x, y) for x in "abc" for y in "abc"):
+            assert net.bytes_between(src, dst) == pairs.get((src, dst), 0.0)
+        kinds = [row[5] for row in rows]
+        assert kinds.count("message") == net.message_count == 3
+        assert kinds.count("flow") == net.flow_count == 3
 
     def test_bytes_between(self):
         env, net = make_net()

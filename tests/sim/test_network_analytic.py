@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments.fig_scale import drive_network_sharded
 from repro.sim.kernel import Environment
-from repro.sim.network import MB, Network, NetworkConfig
+from repro.sim.network import MB, Network, NetworkConfig, record_transfers
 from repro.sim.shard import run_network_sharded, run_network_single
 
 
@@ -28,14 +28,13 @@ def test_analytic_single_flow_exact():
     net = Network(env, NetworkConfig())
     a = net.attach("a", 10 * MB)
     b = net.attach("b", 10 * MB)
+    rows = record_transfers(net)
     net.transfer(a, b, 20 * MB)
     env.run()
-    (record,) = net.records
+    ((_, _, _, started_at, finished_at, _, _),) = rows
     # 20 MB over a 10 MB/s bottleneck (propagation latency applies to
     # control messages, not bulk flows).
-    assert math.isclose(
-        record.finished_at - record.started_at, 2.0, rel_tol=1e-12
-    )
+    assert math.isclose(finished_at - started_at, 2.0, rel_tol=1e-12)
 
 
 def test_analytic_bandwidth_change_applies():
@@ -43,6 +42,7 @@ def test_analytic_bandwidth_change_applies():
     net = Network(env, NetworkConfig())
     a = net.attach("a", 10 * MB)
     b = net.attach("b", 10 * MB)
+    rows = record_transfers(net)
     net.transfer(a, b, 30 * MB)
 
     def tighten(_event):
@@ -50,11 +50,9 @@ def test_analytic_bandwidth_change_applies():
 
     env.schedule_at(1.0).callbacks.append(tighten)
     env.run()
-    (record,) = net.records
+    ((_, _, _, started_at, finished_at, _, _),) = rows
     # 10 MB in the first second at 10 MB/s, remaining 20 MB at 5 MB/s.
-    assert math.isclose(
-        record.finished_at - record.started_at, 1.0 + 4.0, rel_tol=1e-9
-    )
+    assert math.isclose(finished_at - started_at, 1.0 + 4.0, rel_tol=1e-9)
 
 
 def test_replay_is_deterministic():

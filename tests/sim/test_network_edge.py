@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import network
-from repro.sim.kernel import Environment
-from repro.sim.network import KB, MB, Network, NetworkConfig, TransferRecord
+from repro.sim.kernel import Environment, SimulationError
+from repro.sim.network import KB, MB, Network, NetworkConfig
 
 
 def make_net(latency=0.0, threshold=0.0, **extra):
@@ -48,50 +47,38 @@ class TestBandwidthReconfiguration:
         assert env.now == pytest.approx(1.0, rel=1e-6)
 
 
-class TestRecordLimits:
-    def test_record_limit_caps_ledger(self, monkeypatch):
-        monkeypatch.setattr(network, "RECORD_LIMIT", 5)
+class TestInputValidation:
+    @pytest.mark.parametrize("size", [-1.0, float("nan"), float("inf")])
+    def test_unusable_transfer_size_rejected(self, size):
         env, net = make_net()
         a = net.attach("a", 100 * MB)
         b = net.attach("b", 100 * MB)
-        for _ in range(10):
-            env.run(until=net.transfer(a, b, 1 * MB))
-        assert len(net.records) == 5
-        # Counters keep going even when the ledger is full.
-        assert net.total_bytes == pytest.approx(10 * MB)
-        assert net.bytes_between("a", "b") == pytest.approx(10 * MB)
-        assert [r.finished_at for r in net.records] == sorted(
-            r.finished_at for r in net.records
-        )
+        with pytest.raises(SimulationError, match="transfer size"):
+            net.transfer(a, b, size)
+        with pytest.raises(SimulationError, match="message size"):
+            net.message(a, b, size)
+        env.run(until=100)
+        assert net.active_flow_count == 0
+        assert net.total_bytes == 0.0 and net.message_count == 0
 
-    def test_records_view_reads_back_equal_records(self):
-        env, net = make_net()
-        a = net.attach("a", 100 * MB)
-        b = net.attach("b", 100 * MB)
-        for size in (1 * MB, 2 * MB, 3 * MB):
-            env.run(until=net.transfer(a, b, size, tag="t"))
-        view = net.records
-        expected = [
-            TransferRecord("a", "b", r.size, r.started_at, r.finished_at, "flow", "t")
-            for r in view
-        ]
-        assert len(view) == 3
-        assert all(type(r) is TransferRecord for r in view)
-        assert view == expected and expected == view
-        assert view[-1] == expected[-1] and view[-1].size == 3 * MB
-        assert view[0] is not view[0]
-        assert view[:2] == expected[:2]
-        assert view[::-1] == expected[::-1]
-        assert view != expected[:2]
-
-    def test_changed_copy_leaves_ledger_unchanged(self):
-        env, net = make_net()
-        a = net.attach("a", 100 * MB)
-        b = net.attach("b", 100 * MB)
-        env.run(until=net.transfer(a, b, 1 * MB))
-        changed = net.records[0]._replace(size=0.0, tag="x")
-        assert changed.size == 0.0
-        assert net.records[0].size == 1 * MB and net.records[0].tag == ""
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("latency", -1.0),
+            ("latency", float("nan")),
+            ("latency", float("inf")),
+            ("message_threshold", -1.0),
+            ("message_threshold", float("nan")),
+            ("message_threshold", float("inf")),
+            ("local_copy_rate", 0.0),
+            ("local_copy_rate", -1.0),
+            ("local_copy_rate", float("nan")),
+            ("local_copy_rate", float("inf")),
+        ],
+    )
+    def test_config_rejects_unusable_values(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            NetworkConfig(**{field: value})
 
 
 class TestManyFlows:

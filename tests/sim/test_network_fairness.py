@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.sim import Environment, MB, Network, NetworkConfig
+from repro.sim.network import record_transfers
 
 _TOL = 1e-6  # rate feasibility slack, bytes/second
 
@@ -106,17 +107,12 @@ class TestIncrementalEquivalence:
     def test_records_and_makespan_bit_identical(self, seed):
         env_inc, net_inc = _build(seed, incremental=True)
         env_full, net_full = _build(seed, incremental=False)
+        rec_inc = record_transfers(net_inc)
+        rec_full = record_transfers(net_full)
         env_inc.run()
         env_full.run()
         assert env_inc.now == env_full.now
-        rec_inc = [
-            (r.src, r.dst, r.size, r.started_at, r.finished_at, r.kind)
-            for r in net_inc.records
-        ]
-        rec_full = [
-            (r.src, r.dst, r.size, r.started_at, r.finished_at, r.kind)
-            for r in net_full.records
-        ]
+        assert len(rec_inc) == 60
         assert rec_inc == rec_full
 
     def test_mid_run_rates_bit_identical(self, seed):
@@ -137,6 +133,7 @@ def test_aggregated_same_route_flows_share_one_class():
     net = Network(env, NetworkConfig())
     a = net.attach("a", 100 * MB)
     b = net.attach("b", 100 * MB)
+    rows = record_transfers(net)
     for _ in range(10):
         net.transfer(a, b, 50 * MB)
     assert net.active_flow_count == 10
@@ -144,5 +141,5 @@ def test_aggregated_same_route_flows_share_one_class():
     rates = {f.rate for f in net.active_flows}
     assert rates == {100 * MB / 10}
     env.run()
-    assert len(net.records) == 10
+    assert len(rows) == 10
     assert net.bytes_between("a", "b") == 10 * 50 * MB

@@ -4,8 +4,9 @@ Every cell below runs a small, fixed scenario and hashes three canonical
 streams with SHA-256:
 
 - the invocation records, in per-tenant completion order;
-- the transfer records: the network ledger plus the FaaStore/remote
-  storage puts and gets;
+- the transfer records: every network transfer (collected with
+  ``record_transfers`` from the moment the cluster is built) plus the
+  FaaStore/remote storage puts and gets;
 - the telemetry snapshot, as sorted JSON.
 
 Floats enter the hash through ``float.hex``, so a change in the last bit
@@ -51,6 +52,7 @@ from repro.experiments.fig_scale import drive_network_sharded
 from repro.obs.telemetry import MetricsRegistry
 from repro.parallel import ParallelRunner
 from repro.sim import MB, Cluster, ClusterConfig, ContainerSpec, Environment
+from repro.sim.network import record_transfers
 from repro.workloads import build, chain, diamond, fan, tree
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -98,11 +100,8 @@ def _digest(records, transfers, telemetry) -> str:
     return digest.hexdigest()
 
 
-def _system_digest(cluster, system, records, registry) -> str:
-    transfers = [
-        _line(t.src, t.dst, t.size, t.started_at, t.finished_at, t.kind, t.tag)
-        for t in cluster.network.records
-    ]
+def _system_digest(network_rows, system, records, registry) -> str:
+    transfers = [_line(*row) for row in network_rows]
     transfers += [
         _line(
             t.workflow, t.invocation_id, t.producer, t.consumer, t.size,
@@ -113,11 +112,12 @@ def _system_digest(cluster, system, records, registry) -> str:
     return _digest(records, transfers, registry.snapshot())
 
 
-def _with_telemetry(cluster) -> MetricsRegistry:
+def _instrument(cluster) -> tuple[list[tuple], MetricsRegistry]:
+    """Network transfer rows and a telemetry registry for ``cluster``."""
     env = cluster.env
     registry = MetricsRegistry(clock=lambda: env.now)
     cluster.install_telemetry(registry)
-    return registry
+    return record_transfers(cluster.network), registry
 
 
 def _serve_cell(engine: str, batch: bool) -> str:
@@ -127,7 +127,7 @@ def _serve_cell(engine: str, batch: bool) -> str:
         Environment(),
         ClusterConfig(workers=4, container=ContainerSpec(cold_start_time=0.05)),
     )
-    registry = _with_telemetry(cluster)
+    network_rows, registry = _instrument(cluster)
     config = EngineConfig(
         ship_data=False,
         worker_process_time=0.001,
@@ -167,7 +167,7 @@ def _serve_cell(engine: str, batch: bool) -> str:
     env = cluster.env
     env.run(until=env.all_of([env.process(c.run()) for c in clients]))
     records = [line for c in clients for line in _record_lines(c.records)]
-    return _system_digest(cluster, system, records, registry)
+    return _system_digest(network_rows, system, records, registry)
 
 
 def _genome_cell(engine: str) -> str:
@@ -175,7 +175,7 @@ def _genome_cell(engine: str) -> str:
     for DataflowSP), deployed after the feedback iteration."""
     reset_invocation_ids(1)
     cluster = make_cluster(storage_bandwidth=50 * MB)
-    registry = _with_telemetry(cluster)
+    network_rows, registry = _instrument(cluster)
     dag = build("genome")
     if engine == "master":
         system = HyperFlowServerlessSystem(cluster, EngineConfig(ship_data=True))
@@ -186,7 +186,7 @@ def _genome_cell(engine: str) -> str:
         deploy_with_feedback(system, scheduler, dag, warmup_invocations=1)
     records = run_closed_loop(system, dag.name, 2)
     cluster.env.run(until=cluster.env.now)
-    return _system_digest(cluster, system, _record_lines(records), registry)
+    return _system_digest(network_rows, system, _record_lines(records), registry)
 
 
 def _crash_cell(engine: str) -> str:
@@ -196,7 +196,7 @@ def _crash_cell(engine: str) -> str:
         Environment(),
         ClusterConfig(workers=3, container=ContainerSpec(cold_start_time=0.1)),
     )
-    registry = _with_telemetry(cluster)
+    network_rows, registry = _instrument(cluster)
     config = EngineConfig(ship_data=False, max_retries=3, execution_timeout=120.0)
     dag = build("epigenomics")
     placement = hash_partition(dag, cluster.worker_names())
@@ -211,7 +211,7 @@ def _crash_cell(engine: str) -> str:
     FaultDriver(cluster, plan).attach(system).start()
     records = run_closed_loop(system, dag.name, 4)
     cluster.env.run(until=cluster.env.now)
-    return _system_digest(cluster, system, _record_lines(records), registry)
+    return _system_digest(network_rows, system, _record_lines(records), registry)
 
 
 def _network_digest(out: dict) -> str:
