@@ -13,9 +13,9 @@ through ``run_workflow_cells``) three times over:
   records every invocation's span tree into its ring.
 
 The headline number is the telemetry-over-off wall-clock ratio
-(best-of rounds on every side); CI gates on ``overhead_ratio`` staying
-under ``_MAX_OVERHEAD_RATIO``.  ``spans_overhead_ratio`` is the same
-ratio for the spans side; it is recorded, not gated.  The full size is
+(best-of rounds on every side).  ``spans_overhead_ratio`` is the same
+ratio for the spans side.  CI gates both under ``_MAX_OVERHEAD_RATIO``.
+The full size is
 1000 invocations per cell, 4000 in all, the size of one perfbench
 ``observed`` round, so the cost is measured at serving scale.  Each
 side also reports the seconds its best round spent in CPython's cyclic
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import gc
 import json
-import math
 import os
 import subprocess
 import sys
@@ -179,7 +178,7 @@ def test_telemetry_overhead_bounded(benchmark):
     assert result["sharded_merge_identical"]
     assert result["metric_series"] > 0
     assert result["overhead_ratio"] < _MAX_OVERHEAD_RATIO
-    assert math.isfinite(result["spans_overhead_ratio"])
+    assert result["spans_overhead_ratio"] < _MAX_OVERHEAD_RATIO
 
 
 def main(argv=None) -> int:
@@ -211,15 +210,17 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     print(f"\nwritten to {out}")
-    if payload["overhead_ratio"] >= _MAX_OVERHEAD_RATIO:
-        print(
-            f"WARNING: telemetry overhead ratio "
-            f"{payload['overhead_ratio']} exceeds bound "
-            f"{_MAX_OVERHEAD_RATIO}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    status = 0
+    for side, key in (("telemetry", "overhead_ratio"),
+                      ("spans", "spans_overhead_ratio")):
+        if not payload[key] < _MAX_OVERHEAD_RATIO:
+            print(
+                f"WARNING: {side} overhead ratio {payload[key]} exceeds "
+                f"bound {_MAX_OVERHEAD_RATIO}",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

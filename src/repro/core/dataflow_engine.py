@@ -9,7 +9,7 @@ see PAPERS.md) go one level further and both beat it the same way:
   serialize behind.  Every finished predecessor sends a *token*
   straight at the consumer function; the token handler that completes
   the function's input set fires it immediately.  Tokens are handled
-  in parallel (:meth:`DataflowEngine._engine_step` has no lock), each
+  in parallel (a :class:`DataflowEngine` has no engine lock), each
   paying only the small constant ``config.dataflow_trigger_time``.
 - **Eager data shipping.**  The moment a producer writes an output
   chunk, the chunk is pushed worker-to-worker into each remote
@@ -35,8 +35,6 @@ engines use, which is what makes the three-way comparison
 
 from __future__ import annotations
 
-from typing import Generator
-
 from ..sim import Node
 from .state import InvocationID, WorkflowStructure
 from .worker_engine import FaaSFlowSystem, WorkerEngine, _FnDispatch
@@ -55,12 +53,15 @@ class DataflowEngine(WorkerEngine):
     """
 
     _run_prefix = "dataflow"
-    _local_notify_prefix = "token"
-    _remote_notify_prefix = "token"
     _sync_role = "token"
 
     def __init__(self, system: "DataflowSystem", node: Node):
         super().__init__(system, node)
+        # Deliberately lock-free: dataflow triggering has no sub-graph
+        # engine loop, so concurrent tokens never queue behind each
+        # other.  This (not a smaller constant) is the structural
+        # difference from WorkerSP's serialized engine step.
+        self._lock = None
         self.pushes_started = 0  # eager chunk pushes spawned
 
     @property
@@ -117,14 +118,8 @@ class DataflowEngine(WorkerEngine):
         return entries
 
     # -- token handling -------------------------------------------------------
-    def _engine_step(self) -> Generator:
-        # Deliberately lock-free: dataflow triggering has no sub-graph
-        # engine loop, so concurrent tokens never queue behind each
-        # other.  This (not a smaller constant) is the structural
-        # difference from WorkerSP's serialized engine step.
-        yield self.env.timeout(self.system.config.dataflow_trigger_time)
-        self.events_handled += 1
-        self.busy_time += self.system.config.dataflow_trigger_time
+    def _step_time(self) -> float:
+        return self.system.config.dataflow_trigger_time
 
     # -- eager shipping -----------------------------------------------------
     def _ship_outputs(

@@ -17,10 +17,10 @@ patterns:
   against a cluster and notifies the attached workflow systems.
 - :class:`RetryPolicy` — exponential backoff with deterministic jitter
   and the retry budget, built from :class:`~repro.core.config.EngineConfig`.
-- :class:`ProcessRegistry` — tracks every live kernel process an
-  invocation spawned (tagged with the node it runs on) so the engines
-  can cancel them via ``Process.interrupt`` when the invocation fails,
-  times out, or its node dies.
+- :class:`ProcessRegistry` — tracks every live kernel process and
+  control hop an invocation spawned (tagged with the node it runs on)
+  so the engines can cancel them via ``interrupt`` when the invocation
+  fails, times out, or its node dies.
 - :class:`CancelCause` / :class:`TaskCancelled` — why a task was
   interrupted, and whether the retry ladder may try again.
 """
@@ -312,15 +312,18 @@ class FaultPlan:
 
 
 class ProcessRegistry:
-    """Live kernel processes of in-flight invocations, by node.
+    """Live work of in-flight invocations, by node.
 
     Engines register every process they spawn for an invocation
-    (trigger handlers, execute/instance processes, notify/sync
-    messengers).  When the invocation ends abnormally — or a node dies —
-    the registry interrupts what is still alive.  Registration adds no
-    callbacks to the processes (which would mask unhandled crashes);
-    dead entries are dropped lazily and the whole invocation's map is
-    released when the invocation record is finalized.
+    (trigger handlers, execute/instance processes, eager pushes) and
+    every WorkerSP/DataflowSP control hop, which runs as a callback
+    chain instead of a process.  The registry asks an entry only
+    ``is_alive`` and ``interrupt(cause)``.  When the invocation ends
+    abnormally — or a node dies — the registry interrupts what is still
+    alive.  Registration adds no callbacks to the processes (which
+    would mask unhandled crashes); dead entries are dropped lazily and
+    the whole invocation's map is released when the invocation record
+    is finalized.
     """
 
     def __init__(self) -> None:

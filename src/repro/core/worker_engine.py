@@ -28,6 +28,13 @@ of one.  With ``EngineConfig.batch_control`` the updates a finished
 function sends to one destination engine coalesce into a single
 delivery (a documented divergence in timing, never in outcomes or
 order).  ``tests/test_golden_digests.py`` pins both modes.
+
+Control hops are not processes.  A state update, an invocation request
+or a recovery replay is a :class:`_Hop`, and a sink report a
+:class:`_SinkReport`: a chain of kernel callbacks (arrival, engine
+step, apply) that queues exactly the events the process it replaces
+did.  Trigger handlers and eager pushes stay processes
+(:meth:`FaaSFlowSystem.spawn_registered`).
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from ..metrics import (
 )
 from ..obs.spans import SpanKind
 from ..obs.telemetry import record_invocation_metrics
-from ..sim import Cluster, Node, Resource
+from ..sim import Cluster, Node, Resource, SimulationError
 from .config import EngineConfig
 from .control import send_control
 from .faastore import DataPolicy, FaaStorePolicy
@@ -110,8 +117,9 @@ class _DeployedWorkflow:
     critical_exec: float
     live_invocations: int = 0
     # Compiled at deploy time so invoke() does no DAG or placement walks:
-    # (source name, its engine, precomputed send-process name) triples,
-    # the sink count, and every engine-local structure of this version.
+    # one (engine, structure, (dispatch entry,), message tag) per entry
+    # function, the sink count, and every engine-local structure of
+    # this version.
     sources: list = field(default_factory=list)
     sink_count: int = 0
     structures: list = field(default_factory=list)
@@ -122,8 +130,8 @@ class _FnDispatch:
 
     Everything the hot path needs, resolved once at deploy time:
     dense index, trigger metadata, successor deliveries with
-    pre-resolved engine references, and the process-name strings that
-    were previously f-formatted on every spawn.
+    pre-resolved engine references, and the trigger-handler process
+    name and message tags, so no string is formatted per invocation.
     """
 
     __slots__ = (
@@ -133,14 +141,12 @@ class _FnDispatch:
         "preds_count",
         "is_virtual",
         "run_name",
-        "sink_name",
         "sink_tag",
         "fail_tag",
         # State-update deliveries: (remote engine or None, destination
-        # structure, destination entries, process name, message tag,
-        # wire size).  Resolved lazily by :meth:`_link_entry` on first
-        # propagation, once every engine of the deployment has compiled
-        # its table.
+        # structure, destination entries, message tag, wire size).
+        # Resolved lazily by :meth:`_link_entry` on first propagation,
+        # once every engine of the deployment has compiled its table.
         "deliveries",
         # DataflowSP eager shipping, precompiled; None for WorkerSP (and
         # for producers with nothing to ship).
@@ -148,23 +154,179 @@ class _FnDispatch:
     )
 
 
+class _Chain:
+    """A control message run as a chain of kernel callbacks.
+
+    Each link waits on one event (:meth:`_wait`), and its callback
+    starts the next link, so a hop costs no generator, no process and
+    no resume machinery.  The chain stands in for a process in the
+    :class:`~.faults.ProcessRegistry`, which calls only ``is_alive`` and
+    ``interrupt(cause)``.  An interrupt detaches the pending callback at
+    once; one queue hop later, the instant an interrupted process would
+    unwind, :meth:`_release` gives back what the chain holds.  A second
+    interrupt's hop finds the chain dead and does nothing, like a stale
+    wake-up of a process.
+    """
+
+    __slots__ = ("env", "is_alive", "_target", "_callback")
+
+    def _wait(self, event, callback) -> None:
+        # Each link clears or replaces both fields when it runs: the
+        # stored bound method refers back to the chain, and a finished
+        # chain left in that cycle would wait for the cyclic garbage
+        # collector instead of being freed at once.
+        self._target = event
+        self._callback = callback
+        event.callbacks.append(callback)
+
+    def interrupt(self, cause=None) -> None:
+        if not self.is_alive:
+            raise SimulationError("cannot interrupt a finished control hop")
+        target = self._target
+        if target is not None and self._callback in target.callbacks:
+            target.callbacks.remove(self._callback)
+        self._target = self._callback = None
+        self.env._schedule_resume(self._abort, False, cause)
+
+    def _abort(self, _resume) -> None:
+        if self.is_alive:
+            self.is_alive = False
+            self._release()
+
+    def _release(self) -> None:
+        """Give back what the chain holds; a sink report holds nothing."""
+
+
+class _SinkReport(_Chain):
+    """A sink's execution state on its way to the client."""
+
+    __slots__ = ("system", "workflow", "invocation_id")
+
+    def __init__(self, system, workflow: str, invocation_id: InvocationID):
+        self.env = system.env
+        self.is_alive = True
+        self._target = self._callback = None
+        self.system = system
+        self.workflow = workflow
+        self.invocation_id = invocation_id
+
+    def _land(self, _event) -> None:
+        self._target = self._callback = None
+        self.is_alive = False
+        self.system.sink_completed(self.workflow, self.invocation_id)
+
+
+class _Hop(_Chain):
+    """State updates, tokens or an invocation request for one engine.
+
+    Three links.  :meth:`_land` runs when the message's delivery timer
+    (or a local hop's RPC timer) fires; at an engine that is down it
+    defers the entries for :meth:`WorkerEngine.recover`, whose replay
+    enters at :meth:`_step`.  :meth:`_step` takes the WorkerSP engine
+    lock: in place when it is free and the grant would be the very next
+    dispatch (``Resource._take``), else queued FIFO.  DataflowSP has no
+    lock.  :meth:`_stepped` runs when the step timer fires: it counts
+    the step, releases the lock and applies every entry.
+    """
+
+    __slots__ = (
+        "engine",
+        "structure",
+        "entries",
+        "invocation_id",
+        "kind",  # "update" or "trigger", as in WorkerEngine._defer
+        "synced",  # entries counted into states_synced on arrival
+        "_held",  # None, True (taken in place) or the lock request
+    )
+
+    def __init__(
+        self,
+        engine: "WorkerEngine",
+        structure: WorkflowStructure,
+        entries: Sequence[_FnDispatch],
+        invocation_id: InvocationID,
+        kind: str = "update",
+        synced: int = 0,
+    ):
+        self.env = engine.env
+        self.is_alive = True
+        self._target = self._callback = None
+        self.engine = engine
+        self.structure = structure
+        self.entries = entries
+        self.invocation_id = invocation_id
+        self.kind = kind
+        self.synced = synced
+        self._held = None
+
+    def _land(self, _event) -> None:
+        self._target = self._callback = None
+        engine = self.engine
+        if self.synced:
+            engine.states_synced += self.synced
+        if engine.down:
+            self.is_alive = False
+            engine._defer(
+                self.kind, self.structure, self.invocation_id, self.entries
+            )
+            return
+        self._step()
+
+    def _step(self) -> None:
+        lock = self.engine._lock
+        if lock is not None:
+            if not lock._take():
+                self._held = request = lock._queued_request()
+                self._wait(request, self._granted)
+                return
+            self._held = True
+        self._granted(None)
+
+    def _granted(self, _event) -> None:
+        engine = self.engine
+        self._wait(self.env.timeout(engine._step_time()), self._stepped)
+
+    def _stepped(self, _event) -> None:
+        self._target = self._callback = None
+        self.is_alive = False
+        engine = self.engine
+        engine.events_handled += 1
+        engine.busy_time += engine._step_time()
+        self._release()
+        structure = self.structure
+        invocation_id = self.invocation_id
+        if self.kind == "update":
+            for entry in self.entries:
+                engine._apply_state_update(structure, entry, invocation_id)
+        else:
+            engine._trigger_entry(structure, self.entries[0], invocation_id)
+
+    def _release(self) -> None:
+        held = self._held
+        if held is not None:
+            self._held = None
+            lock = self.engine._lock
+            if held is True:
+                lock._put_back()
+            else:
+                lock.release(held)  # withdraws a request still queued
+
+
 class WorkerEngine:
     """The decentralized engine on one worker node."""
 
-    # Wire labels; DataflowSP overrides them all.  Spawn-name prefixes
-    # of trigger handlers and of local / remote deliveries, and the stem
-    # of message tags and span roles (``-batch`` appended for a delivery
-    # of several entries).
+    # Wire labels; DataflowSP overrides both.  The spawn-name prefix of
+    # trigger handlers, and the stem of message tags and span roles
+    # (``-batch`` appended for a delivery of several entries).
     _run_prefix = "worker"
-    _local_notify_prefix = "rpc"
-    _remote_notify_prefix = "sync"
     _sync_role = "state"
 
     def __init__(self, system: "FaaSFlowSystem", node: Node):
         self.system = system
         self.node = node
         self.env = node.env
-        self._lock = Resource(self.env, capacity=1)
+        # The serialized engine loop: one step at a time, FIFO.
+        self._lock: Optional[Resource] = Resource(self.env, capacity=1)
         # (workflow, version) -> structure for the local sub-graph.
         self._structures: dict[tuple[str, int], WorkflowStructure] = {}
         # (workflow, version) -> (structure, name -> _FnDispatch).
@@ -202,7 +364,6 @@ class WorkerEngine:
             entry.preds_count = structure.preds_counts[index]
             entry.is_virtual = structure.virtual_flags[index]
             entry.run_name = f"{self._run_prefix}:{node_name}:{name}"
-            entry.sink_name = f"sink-report:{name}"
             entry.sink_tag = f"sink:{name}"
             entry.fail_tag = f"failure:{name}"
             entry.ship_plan = None
@@ -220,8 +381,8 @@ class WorkerEngine:
 
         Runs once per (deployment, function), after which propagation
         needs no dict lookups at all: each delivery carries pre-resolved
-        (engine, structure, dispatch entries) refs, its process name,
-        wire tag and wire size.  Unbatched, every successor is a
+        (engine, structure, dispatch entries) refs, its wire tag and
+        wire size.  Unbatched, every successor is a
         delivery of one entry, in DAG order.  Under
         ``EngineConfig.batch_control`` the successors on one destination
         coalesce into one delivery; single-successor destinations come
@@ -254,23 +415,14 @@ class WorkerEngine:
             dest_entries = tuple(item[2] for item in items)
             first = dest_entries[0].name
             count = len(dest_entries)
-            prefix = (
-                self._local_notify_prefix
-                if remote is None
-                else self._remote_notify_prefix
-            )
             if count == 1:
-                name = f"{prefix}:{entry.name}->{first}"
                 tag = f"{self._sync_role}:{first}"
                 size = config.state_message_size
             else:
                 # The bytes still move: the size scales with the batch.
-                name = f"{prefix}:{entry.name}->[{count}]"
                 tag = f"{self._sync_role}-batch:{first}+{count - 1}"
                 size = config.state_message_size * count
-            deliveries.append(
-                (remote, dest_structure, dest_entries, name, tag, size)
-            )
+            deliveries.append((remote, dest_structure, dest_entries, tag, size))
         entry.deliveries = tuple(deliveries)
 
     def retire(self, workflow: str, version: int) -> None:
@@ -309,15 +461,9 @@ class WorkerEngine:
         return len(self._structures)
 
     # -- engine event loop ----------------------------------------------------
-    def _engine_step(self) -> Generator:
-        # The context manager releases the lock even when the process
-        # is interrupted while *waiting* for it (an ungranted request
-        # is cancelled out of the queue rather than released).
-        with self._lock.request() as request:
-            yield request
-            yield self.env.timeout(self.system.config.worker_process_time)
-            self.events_handled += 1
-            self.busy_time += self.system.config.worker_process_time
+    def _step_time(self) -> float:
+        """Seconds one engine step occupies the engine (see :class:`_Hop`)."""
+        return self.system.config.worker_process_time
 
     # -- state synchronization (paper Fig. 6) ---------------------------------
     def _fire(
@@ -373,7 +519,7 @@ class WorkerEngine:
         """Queue control messages that reached this engine while down.
 
         ``kind`` is ``"update"`` or ``"trigger"``; :meth:`recover`
-        replays each entry through the matching name-based handler.
+        replays each entry as a hop of its own.
         """
         for entry in entries:
             self._deferred.append(
@@ -382,42 +528,6 @@ class WorkerEngine:
                     invocation_id, entry.name,
                 )
             )
-
-    def receive_state_update(
-        self,
-        workflow: str,
-        version: int,
-        invocation_id: InvocationID,
-        function: str,
-    ) -> Generator:
-        """A predecessor of a local ``function`` finished somewhere.
-
-        Name-based handler: recovery replay and external callers enter
-        here; steady-state propagation uses the pre-linked deliveries.
-        """
-        structure, entries = self._lookup(workflow, version)
-        entry = entries[function]
-        if self.down:
-            self._defer("update", structure, invocation_id, (entry,))
-            return
-        yield from self._engine_step()
-        self._apply_state_update(structure, entry, invocation_id)
-
-    def trigger_source(
-        self,
-        workflow: str,
-        version: int,
-        invocation_id: InvocationID,
-        function: str,
-    ) -> Generator:
-        """Invocation request for an entry function arrived at this node."""
-        structure, entries = self._lookup(workflow, version)
-        entry = entries[function]
-        if self.down:
-            self._defer("trigger", structure, invocation_id, (entry,))
-            return
-        yield from self._engine_step()
-        self._trigger_entry(structure, entry, invocation_id)
 
     # -- local execution -----------------------------------------------------
     def run_function(
@@ -501,12 +611,12 @@ class WorkerEngine:
         entry: _FnDispatch,
         produced: bool = False,
     ) -> None:
-        """Fan out state updates (and sink reports) as detached processes.
+        """Fan out state updates (and sink reports) as control hops.
 
         Deliberately yield-free: once a function is marked ``executed``
         its notifications are committed atomically, so a node crash can
-        never leave a half-propagated function.  The spawned messages
-        are registered *invocation-bound* (not node-bound) — they model
+        never leave a half-propagated function.  The hops are
+        registered *invocation-bound* (not node-bound): they model
         packets already handed to the TCP stack, which survive the
         sender's crash but die with the invocation.  A producer with a
         ship plan (DataflowSP) first launches its eager data pushes.
@@ -515,68 +625,61 @@ class WorkerEngine:
             self._ship_outputs(structure, invocation_id, entry)
         if entry.deliveries is None:
             self._link_entry(structure, entry)
-        spawn = self.system.spawn_registered
         if not entry.deliveries:
-            spawn(
-                self._report_sink(structure, invocation_id, entry),
-                invocation_id,
-                name=entry.sink_name,
-            )
+            self._report_sink(structure, invocation_id, entry)
             return
         for delivery in entry.deliveries:
-            spawn(
-                self._deliver(structure, invocation_id, delivery),
-                invocation_id,
-                name=delivery[3],
-            )
+            self._deliver(structure, invocation_id, delivery)
 
     def _report_sink(
         self,
         structure: WorkflowStructure,
         invocation_id: InvocationID,
         entry: _FnDispatch,
-    ) -> Generator:
+    ) -> None:
         """A sink finished: report the execution state to the client."""
         system = self.system
-        yield send_control(
-            system.network, system.spans, self.node, system.client_node,
-            system.config.result_message_size, entry.sink_tag, "sink-report",
-            structure.workflow, invocation_id, entry.name,
+        report = _SinkReport(system, structure.workflow, invocation_id)
+        system.registry.register(report, invocation_id)
+        report._wait(
+            send_control(
+                system.network, system.spans, self.node, system.client_node,
+                system.config.result_message_size, entry.sink_tag,
+                "sink-report", structure.workflow, invocation_id, entry.name,
+            ),
+            report._land,
         )
-        system.sink_completed(structure.workflow, invocation_id)
 
     def _deliver(
         self,
         structure: WorkflowStructure,
         invocation_id: InvocationID,
         delivery: tuple,
-    ) -> Generator:
-        """Deliver one state update (or one batch) to its engine.
+    ) -> None:
+        """Send one state update (or one batch) to its engine as a hop.
 
         A local delivery is an in-process RPC hop; a remote one is a
         worker-to-worker message.  Either way the destination engine
         pays a *single* engine step for all the entries it carries.
         """
-        remote, dest_structure, dest_entries, _, tag, size = delivery
+        remote, dest_structure, dest_entries, tag, size = delivery
         system = self.system
         if remote is None:
-            engine = self
-            yield self.env.timeout(system.config.local_trigger_time)
+            hop = _Hop(self, dest_structure, dest_entries, invocation_id)
+            arrival = self.env.timeout(system.config.local_trigger_time)
         else:
-            engine = remote
             count = len(dest_entries)
-            yield send_control(
+            hop = _Hop(
+                remote, dest_structure, dest_entries, invocation_id,
+                synced=count,
+            )
+            arrival = send_control(
                 system.network, system.spans, self.node, remote.node, size,
                 tag, self._sync_role, structure.workflow, invocation_id,
                 dest_entries[0].name, count,
             )
-            remote.states_synced += count
-        if engine.down:
-            engine._defer("update", dest_structure, invocation_id, dest_entries)
-            return
-        yield from engine._engine_step()
-        for dest_entry in dest_entries:
-            engine._apply_state_update(dest_structure, dest_entry, invocation_id)
+        system.registry.register(hop, invocation_id)
+        hop._wait(arrival, hop._land)
 
     # -- crash and recovery ---------------------------------------------------
     def fail(self) -> list[tuple[str, int, InvocationID, str]]:
@@ -603,28 +706,25 @@ class WorkerEngine:
     def recover(self) -> None:
         """The node came back: replay the control backlog.
 
-        Deferred messages re-enter through the normal handlers (each
-        paying an engine step, like a real backlog drain would).
+        Each deferred entry becomes a hop of its own that starts at the
+        engine step (so each pays one step, like a real backlog drain
+        would).  Replays are node-bound: a second crash kills them.
         """
         self.down = False
         deferred, self._deferred = self._deferred, []
+        register = self.system.registry.register
         for kind, workflow, version, invocation_id, function in deferred:
             if (
                 self.system.context(invocation_id) is None
                 or not self.has_structure(workflow, version)
             ):
                 continue  # the invocation died while we were down
-            handler = (
-                self.receive_state_update
-                if kind == "update"
-                else self.trigger_source
+            structure, entries = self._lookup(workflow, version)
+            hop = _Hop(
+                self, structure, (entries[function],), invocation_id, kind
             )
-            self.system.spawn_registered(
-                handler(workflow, version, invocation_id, function),
-                invocation_id,
-                node=self.node.name,
-                name=f"replay:{self.node.name}:{function}",
-            )
+            register(hop, invocation_id, node=self.node.name)
+            hop._step()
 
     def retrigger(
         self,
@@ -710,8 +810,9 @@ class FaaSFlowSystem:
         """Spawn a process, track it for cancellation, and start it.
 
         ``node`` binds the process to a worker so node crashes kill it;
-        processes left unbound (in-flight messages) die only with their
-        invocation.
+        processes left unbound (eager pushes) die only with their
+        invocation.  Control hops are not processes: they register
+        themselves (see :class:`_Hop`).
 
         The first segment runs right here instead of through a bootstrap
         hop, so it runs ahead of same-instant work already queued.  That
@@ -789,19 +890,13 @@ class FaaSFlowSystem:
                 )
         # Pre-resolve each entry function's engine, structure, and
         # dispatch entry (every sub-graph is compiled by now), so
-        # invoke() spawns sends with zero lookups or string formatting.
+        # invoke() sends requests with zero lookups or string formatting.
         deployed.sources = []
         for source in dag.sources():
             engine = self.engines[placement.node_of(source)]
             structure, entries = engine._lookup(dag.name, version)
             deployed.sources.append(
-                (
-                    engine,
-                    structure,
-                    entries[source],
-                    f"invoke:{dag.name}:{source}",
-                    f"invoke:{source}",
-                )
+                (engine, structure, (entries[source],), f"invoke:{source}")
             )
         deployed.sink_count = len(dag.sinks())
         self._deployed[(dag.name, version)] = deployed
@@ -866,14 +961,8 @@ class FaaSFlowSystem:
             )
         # The client ships the invocation request to each entry
         # function's worker; from there everything is worker-side.
-        for engine, structure, entry, send_name, tag in deployed.sources:
-            self.spawn_registered(
-                self._send_invocation(
-                    invocation_id, engine, structure, entry, tag
-                ),
-                invocation_id,
-                name=send_name,
-            )
+        for engine, structure, entries, tag in deployed.sources:
+            self._send_invocation(invocation_id, engine, structure, entries, tag)
         timeout = env.timeout(self.config.execution_timeout)
         timeout.callbacks.append(context._deadline)
         yield context.done
@@ -927,19 +1016,20 @@ class FaaSFlowSystem:
         invocation_id: InvocationID,
         engine: WorkerEngine,
         structure: WorkflowStructure,
-        entry: _FnDispatch,
+        entries: tuple,
         tag: str,
-    ) -> Generator:
-        yield send_control(
-            self.network, self.spans, self.client_node, engine.node,
-            self.config.assign_message_size, tag, "invoke",
-            structure.workflow, invocation_id, entry.name,
+    ) -> None:
+        """Ship the invocation request for one entry function (a hop)."""
+        hop = _Hop(engine, structure, entries, invocation_id, "trigger")
+        self.registry.register(hop, invocation_id)
+        hop._wait(
+            send_control(
+                self.network, self.spans, self.client_node, engine.node,
+                self.config.assign_message_size, tag, "invoke",
+                structure.workflow, invocation_id, entries[0].name,
+            ),
+            hop._land,
         )
-        if engine.down:
-            engine._defer("trigger", structure, invocation_id, (entry,))
-            return
-        yield from engine._engine_step()
-        engine._trigger_entry(structure, entry, invocation_id)
 
     def tenant_of(self, workflow: str) -> str:
         """Telemetry tenant label for one workflow's invocations.

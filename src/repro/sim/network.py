@@ -91,12 +91,19 @@ class _Link:
         return sum(len(c.flows) * c.rate for c in self.classes)
 
 
+def _check_bandwidth(bandwidth: float) -> None:
+    # NaN or inf would leave every flow through the NIC unfinishable.
+    if not 0 < bandwidth < _INF:
+        raise SimulationError(
+            f"bandwidth must be finite and > 0, got {bandwidth}"
+        )
+
+
 class NIC:
     """A node's network interface: an egress link and an ingress link."""
 
     def __init__(self, name: str, bandwidth: float):
-        if bandwidth <= 0:
-            raise SimulationError(f"bandwidth must be > 0, got {bandwidth}")
+        _check_bandwidth(bandwidth)
         self.name = name
         self.bandwidth = float(bandwidth)
         self.egress = _Link(f"{name}.egress", bandwidth)
@@ -104,8 +111,7 @@ class NIC:
 
     def set_bandwidth(self, bandwidth: float) -> None:
         """Reconfigure NIC speed (the paper's ``wondershaper`` sweep)."""
-        if bandwidth <= 0:
-            raise SimulationError(f"bandwidth must be > 0, got {bandwidth}")
+        _check_bandwidth(bandwidth)
         self.bandwidth = float(bandwidth)
         self.egress.bandwidth = float(bandwidth)
         self.ingress.bandwidth = float(bandwidth)

@@ -90,7 +90,8 @@ class Resource:
         (an in-place grant, ``Environment._settle_in_place``) when its
         queued grant would have been the very next dispatch.  Yield it
         as usual; callbacks appended to it would never run, which is why
-        callback-style waiters use :meth:`_queued_request`.
+        callback-style waiters use :meth:`_take` and
+        :meth:`_queued_request`.
         """
         req = _Request(self, amount)
         if (
@@ -115,6 +116,30 @@ class Resource:
         self._waiting.append(req)
         self._grant()
         return req
+
+    def _take(self, amount: int = 1) -> bool:
+        """Take ``amount`` slots in place, with no request, if allowed.
+
+        The request-free form of :meth:`request`'s in-place grant, under
+        the same conditions (a slot free, nobody waiting, and
+        ``Environment._can_continue``), for a waiter that runs as a kernel
+        callback rather than a process.  On False nothing changed: queue
+        a :meth:`_queued_request` instead.  Give the slots back with
+        :meth:`_put_back`.
+        """
+        if (
+            self._waiting
+            or self._in_use + amount > self.capacity
+            or not self.env._can_continue()
+        ):
+            return False
+        self._in_use += amount
+        return True
+
+    def _put_back(self, amount: int = 1) -> None:
+        """Return slots taken by :meth:`_take`; grant the next waiters."""
+        self._in_use -= amount
+        self._grant()
 
     def holds(self, request: _Request) -> bool:
         """Whether ``request`` has been granted and not yet released."""

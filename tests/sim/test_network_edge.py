@@ -80,6 +80,31 @@ class TestInputValidation:
         with pytest.raises(SimulationError, match=field):
             NetworkConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "bandwidth", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_attach_rejects_unusable_bandwidth(self, bandwidth):
+        _, net = make_net()
+        with pytest.raises(SimulationError, match=f"got {bandwidth}"):
+            net.attach("a", bandwidth)
+
+    @pytest.mark.parametrize(
+        "bandwidth", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_set_bandwidth_rejects_unusable_bandwidth(self, bandwidth):
+        env, net = make_net()
+        a = net.attach("a", 100 * MB)
+        b = net.attach("b", 100 * MB)
+        with pytest.raises(SimulationError, match=f"got {bandwidth}"):
+            a.set_bandwidth(bandwidth)
+        with pytest.raises(SimulationError, match=f"got {bandwidth}"):
+            net.set_nic_bandwidth(a, bandwidth)
+        # The NIC keeps its speed, so a flow through it still finishes.
+        assert a.bandwidth == 100 * MB
+        done = net.transfer(a, b, 100 * MB)
+        env.run(until=100)
+        assert done.processed
+
 
 class TestManyFlows:
     def test_hundred_simultaneous_flows_complete(self):
