@@ -17,9 +17,12 @@ no-ops, and guards any attribute collection behind ``spans.enabled``.
 
 Completed spans live in a bounded ring (drop-oldest, ``dropped``
 counted) so long runs keep their tail instead of losing it.  The ring
-holds rows of atoms, not :class:`Span` objects (see
-:mod:`repro.obs.rows`), so the garbage collector never re-scans it;
-``SpanTracer.spans`` builds a fresh :class:`Span` per access.
+holds flat rows of atoms, not :class:`Span` objects (see
+:mod:`repro.obs.rows`), so the garbage collector never re-scans it:
+the span's fields, then its attrs as alternating key/value items.  A
+leaf span (``record``/``event``) is built straight into its row; only
+open spans, which producers hold as parent handles, are :class:`Span`
+objects.  ``SpanTracer.spans`` builds a fresh :class:`Span` per access.
 
 :func:`decompose` turns one invocation's spans into a measured latency
 breakdown whose components sum *exactly* to the end-to-end latency: the
@@ -108,16 +111,24 @@ class Span:
         )
 
 
-# Ring rows (see repro.obs.rows): every Span field but ``attrs``, which
-# goes in a parallel column of dicts.
+# Ring rows (see repro.obs.rows): every Span field but ``attrs`` in
+# declaration order, then the attrs flattened to key, value, key, ...
+# ``SpanTracer.record`` and ``event`` spell the fields out in this order.
 _ROW_FIELDS = row_fields(Span, omit=("attrs",))
 _row_of_span = row_of(Span, omit=("attrs",))
+_WIDTH = len(_ROW_FIELDS)
 _KIND = _ROW_FIELDS.index("kind")
 _INVOCATION_ID = _ROW_FIELDS.index("invocation_id")
 
 
-def _span_of(row: tuple, attrs: dict) -> Span:
-    return Span(*row, attrs=dict(attrs))
+def _flat(attrs: dict) -> tuple:
+    """``attrs`` as a row tail: key, value, key, value, ..."""
+    return tuple(itertools.chain.from_iterable(attrs.items()))
+
+
+def _span_of(row: tuple) -> Span:
+    tail = iter(row[_WIDTH:])
+    return Span(*row[:_WIDTH], attrs=dict(zip(tail, tail)))
 
 
 # Breakdown categories, highest priority first: an instant covered by
@@ -284,11 +295,10 @@ class SpanTracer:
         self.env = env
         self.limit = limit
         # Completed spans, bounded ring: at capacity the *oldest* span
-        # is evicted so the tail of a long run survives.  Rows and their
-        # attrs dicts are parallel columns; ``spans`` reads them back.
+        # is evicted so the tail of a long run survives.  One flat row
+        # per span, attrs folded in; ``spans`` reads them back.
         self._rows: deque[tuple] = deque(maxlen=limit)
-        self._attrs: deque[dict] = deque(maxlen=limit)
-        self.spans = RecordView(_span_of, self._rows, self._attrs)
+        self.spans = RecordView(_span_of, self._rows)
         self.dropped = 0
         self._ids = itertools.count(1)
         self._open: dict[int, Span] = {}
@@ -324,7 +334,7 @@ class SpanTracer:
         return span
 
     def end(self, span: Span, status: str = "ok", **attrs) -> Span:
-        """Close an open span; the ring keeps a row copy and its attrs dict."""
+        """Close an open span; the ring keeps a row copy, attrs included."""
         if span.end is not None:
             return span
         span.end = self.env.now
@@ -348,41 +358,63 @@ class SpanTracer:
         parent: Optional[Span] = None,
         status: str = "ok",
         **attrs,
-    ) -> Span:
+    ) -> None:
         """Append a retrospective (already finished) span.
 
-        Returns the span as a :class:`Span`; the ring keeps a row copy
-        of it and the same attrs dict.
+        The span goes straight into the ring as a row; no :class:`Span`
+        is built, so read it back through ``spans`` or the queries.
         """
-        span = Span(
-            span_id=next(self._ids),
-            parent_id=parent.span_id if parent is not None else None,
-            kind=kind,
-            start=start,
-            end=self.env.now if end is None else end,
-            workflow=workflow,
-            invocation_id=invocation_id,
-            function=function,
-            node=node,
-            status=status,
-            attrs=attrs,
+        row = (
+            next(self._ids),
+            parent.span_id if parent is not None else None,
+            kind,
+            start,
+            self.env.now if end is None else end,
+            workflow,
+            invocation_id,
+            function,
+            node,
+            status,
         )
-        self._append(_row_of_span(span), attrs)
-        return span
+        self._append(row + _flat(attrs) if attrs else row)
 
-    def event(self, kind: str, **kwargs) -> Span:
-        """A zero-duration marker span at the current simulated time."""
+    def event(
+        self,
+        kind: str,
+        *,
+        workflow: str = "",
+        invocation_id: int = 0,
+        function: str = "",
+        node: str = "",
+        parent: Optional[Span] = None,
+        status: str = "ok",
+        **attrs,
+    ) -> None:
+        """Append a zero-duration marker span at the current simulated time."""
         now = self.env.now
-        return self.record(kind, now, now, **kwargs)
+        row = (
+            next(self._ids),
+            parent.span_id if parent is not None else None,
+            kind,
+            now,
+            now,
+            workflow,
+            invocation_id,
+            function,
+            node,
+            status,
+        )
+        self._append(row + _flat(attrs) if attrs else row)
 
     def _close(self, span: Span) -> None:
         """Move an open span into the ring, and its root entry with it."""
-        self._append(_row_of_span(span), span.attrs)
+        row = _row_of_span(span)
+        self._append(row + _flat(span.attrs) if span.attrs else row)
         invocation_id = span.invocation_id
         if self._roots.get(invocation_id) is span:
             self._roots[invocation_id] = self.dropped + len(self._rows) - 1
 
-    def _append(self, row: tuple, attrs: dict) -> None:
+    def _append(self, row: tuple) -> None:
         rows = self._rows
         if len(rows) >= self.limit:
             evicted = rows[0]
@@ -390,7 +422,6 @@ class SpanTracer:
                 self._roots.pop(evicted[_INVOCATION_ID], None)
             self.dropped += 1
         rows.append(row)
-        self._attrs.append(attrs)
 
     # -- invocation / function context -----------------------------------
     def start_invocation(
@@ -408,8 +439,7 @@ class SpanTracer:
     def root_of(self, invocation_id: int) -> Optional[Span]:
         root = self._roots.get(invocation_id)
         if isinstance(root, int):
-            index = root - self.dropped
-            return _span_of(self._rows[index], self._attrs[index])
+            return _span_of(self._rows[root - self.dropped])
         return root
 
     def set_context(
@@ -443,7 +473,7 @@ class SpanTracer:
         return closed
 
     def clear(self) -> None:
-        self.spans.clear()
+        self._rows.clear()
         self._open.clear()
         self._roots.clear()
         self._contexts.clear()
@@ -463,11 +493,7 @@ class SpanTracer:
         Filters the ring's rows first and builds only the matches.
         """
         at = _ROW_FIELDS.index(field)
-        found = [
-            _span_of(row, attrs)
-            for row, attrs in zip(self._rows, self._attrs)
-            if row[at] == value
-        ]
+        found = [_span_of(row) for row in self._rows if row[at] == value]
         found += [s for s in self._open.values() if getattr(s, field) == value]
         return found
 
@@ -519,7 +545,7 @@ class NullSpanTracer:
     enabled = False
     dropped = 0
     limit = 0
-    spans = RecordView(_span_of, [], [])
+    spans = RecordView(_span_of, [])
 
     _NULL_SPAN = Span(span_id=0, parent_id=None, kind="null", start=0.0, end=0.0)
 
@@ -529,11 +555,11 @@ class NullSpanTracer:
     def end(self, span, *args, **kwargs) -> Span:
         return span
 
-    def record(self, *args, **kwargs) -> Span:
-        return self._NULL_SPAN
+    def record(self, *args, **kwargs) -> None:
+        return None
 
-    def event(self, *args, **kwargs) -> Span:
-        return self._NULL_SPAN
+    def event(self, *args, **kwargs) -> None:
+        return None
 
     def start_invocation(self, *args, **kwargs) -> Span:
         return self._NULL_SPAN

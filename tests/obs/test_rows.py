@@ -30,11 +30,10 @@ class TestRowFormat:
 
 class TestRecordView:
     def make(self):
-        rows, extra = deque(maxlen=3), deque(maxlen=3)
-        view = RecordView(lambda row, tag: (*row, tag), rows, extra)
+        rows = deque(maxlen=3)
+        view = RecordView(lambda row: (*row,), rows)
         for i in range(4):
-            rows.append((i, float(i)))
-            extra.append(f"t{i}")
+            rows.append((i, float(i), f"t{i}"))
         return view
 
     def test_sequence_protocol(self):
@@ -61,7 +60,7 @@ class TestRecordView:
         with pytest.raises(TypeError):
             hash(view)
 
-    def test_clear_empties_every_column(self):
+    def test_clear_empties_the_store(self):
         view = self.make()
         view.clear()
         assert len(view) == 0 and view == []
