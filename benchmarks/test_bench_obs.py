@@ -13,7 +13,10 @@ through ``run_workflow_cells``) three times over:
   records every invocation's span tree into its ring.
 
 The headline number is the telemetry-over-off wall-clock ratio
-(best-of rounds on every side).  ``spans_overhead_ratio`` is the same
+(best-of rounds on every side).  The sides are interleaved: each round
+runs off, telemetry and spans once each, and the order rotates by one
+side per round, so host drift during the bench lands on every side
+alike instead of on whichever side happened to run last.  ``spans_overhead_ratio`` is the same
 ratio for the spans side.  CI gates both under ``_MAX_OVERHEAD_RATIO``.
 The full size is
 1000 invocations per cell, 4000 in all, the size of one perfbench
@@ -94,16 +97,23 @@ class _GCTimer:
         gc.callbacks.remove(self)
 
 
-def _best_of(fn, rounds: int) -> tuple[float, float]:
-    """Wall and GC seconds of the fastest of ``rounds`` runs."""
-    best = (float("inf"), 0.0)
-    for _ in range(rounds):
-        gc.collect()
-        with _GCTimer() as timer:
-            start = time.perf_counter()
-            fn()
-            wall = time.perf_counter() - start
-        best = min(best, (wall, timer.seconds))
+def _interleaved_best_of(sides: dict, rounds: int) -> dict:
+    """Wall and GC seconds of each side's fastest of ``rounds`` runs.
+
+    ``sides`` maps a name to a zero-argument callable.  Every round runs
+    each side once; round ``r`` starts at side ``r mod len(sides)``.
+    """
+    names = list(sides)
+    best = {name: (float("inf"), 0.0) for name in names}
+    for round_index in range(rounds):
+        shift = round_index % len(names)
+        for name in names[shift:] + names[:shift]:
+            gc.collect()
+            with _GCTimer() as timer:
+                start = time.perf_counter()
+                sides[name]()
+                wall = time.perf_counter() - start
+            best[name] = min(best[name], (wall, timer.seconds))
     return best
 
 
@@ -140,15 +150,17 @@ def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
         )
     series = len(merged_serial["metrics"])
 
-    off_wall, off_gc = _best_of(
-        lambda: run_workflow_cells(off_cells, jobs=1), rounds
+    best = _interleaved_best_of(
+        {
+            "off": lambda: run_workflow_cells(off_cells, jobs=1),
+            "on": lambda: run_workflow_cells(on_cells, jobs=1),
+            "spans": lambda: run_workflow_cells(spans_cells, jobs=1),
+        },
+        rounds,
     )
-    on_wall, on_gc = _best_of(
-        lambda: run_workflow_cells(on_cells, jobs=1), rounds
-    )
-    spans_wall, spans_gc = _best_of(
-        lambda: run_workflow_cells(spans_cells, jobs=1), rounds
-    )
+    off_wall, off_gc = best["off"]
+    on_wall, on_gc = best["on"]
+    spans_wall, spans_gc = best["spans"]
     return {
         "invocations_per_cell": invocations,
         "cells": len(_WORKLOADS),
@@ -189,7 +201,8 @@ def main(argv=None) -> int:
     result = _measure(invocations, rounds=rounds)
     payload = {
         "bench": "engine wall clock with streaming telemetry on, and with "
-        f"spans on, vs off (best of {rounds} round(s) per side)",
+        f"spans on, vs off (best of {rounds} interleaved round(s) per "
+        "side, side order rotated each round)",
         "baseline": "NULL_TELEMETRY and NULL_SPANS zero-cost-off path (one "
         "enabled-check per would-be emit or span)",
         "instrumented": "MetricsRegistry on the simulated clock: engines, "

@@ -164,11 +164,13 @@ class DataflowEngine(WorkerEngine):
 class DataflowSystem(FaaSFlowSystem):
     """The DataflowSP workflow system: dataflow-triggered distributed engines.
 
-    Client-side plumbing (deployment, versioned rollout, invocation
-    lifecycle, timeout/cancellation, fault hooks) is shared with
-    WorkerSP — both are placement-driven decentralized systems — but
-    every engine on a worker is a :class:`DataflowEngine`, so
-    triggering is function-level and outputs ship eagerly.
+    Deployment, versioned rollout and the fault hooks are WorkerSP's
+    — both are placement-driven decentralized systems — and the
+    invocation lifecycle (record, timeout, cancellation, close) is the
+    one all three systems share (:class:`~.lifecycle.WorkflowSystem`).
+    Only the engines differ: every engine on a worker is a
+    :class:`DataflowEngine`, so triggering is function-level and
+    outputs ship eagerly.
     """
 
     mode = "dataflow-sp"

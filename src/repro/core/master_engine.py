@@ -10,13 +10,16 @@ The two network hops per function and the master's serialization are
 exactly the scheduling overhead WorkerSP removes; keeping them explicit
 here is what lets Fig. 4 / Fig. 11 be regenerated.
 
-Like the distributed engines (ISSUE 10), registration compiles the
-workflow once into per-function dispatch entries (:class:`_MasterFn`):
-dense indices, pre-resolved worker nodes, and precomputed process
-names/tags.  Per-invocation state is two flat arrays local to the
-invoke process — created in O(functions), freed by the invoke's own
-exit — so the master's memory is O(in-flight), and the hot path does
-no DAG walks, placement lookups, or string formatting.
+Like the distributed engines, registration compiles the workflow once
+into per-function dispatch entries (:class:`_MasterFn`): dense indices,
+pre-resolved worker nodes, and precomputed process names/tags.  The
+invocation lifecycle — record, watchdog, outcome, close — is the shared
+one of :class:`~.lifecycle.WorkflowSystem`; MasterSP only launches the
+source task coordinators.  Those share the invocation's
+:class:`~.lifecycle.InvocationContext` plus two flat arrays created in
+O(functions) at launch and dropped with the coordinators, so the
+master's memory is O(in-flight), and the hot path does no DAG walks,
+placement lookups, or string formatting.
 """
 
 from __future__ import annotations
@@ -24,14 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
-from ..dag import WorkflowDAG, critical_path
-from ..metrics import (
-    InvocationRecord,
-    InvocationStatus,
-    MetricsCollector,
-)
-from ..obs.spans import SpanKind
-from ..obs.telemetry import record_invocation_metrics
+from ..dag import WorkflowDAG
+from ..metrics import MetricsCollector
 from ..sim import Cluster, Node, Resource
 from .config import EngineConfig
 from .control import send_control
@@ -41,21 +38,15 @@ from .faults import (
     CancelKind,
     FaultInjector,
     FunctionFailure,
-    ProcessRegistry,
     TaskCancelled,
 )
-from .runtime import FunctionRuntime
-from .switching import is_skipped
-from .state import (
-    Placement,
-    new_invocation_id,
+from .lifecycle import (
+    InvocationContext, WorkflowSystem, record_marker, static_critical_exec,
 )
+from .switching import is_skipped
+from .state import Placement
 
 __all__ = ["HyperFlowServerlessSystem"]
-
-# Sentinel carried by an invocation's ``done`` event when the
-# execution-timeout watchdog (not task completion or failure) fired it.
-_TIMED_OUT = object()
 
 
 class _MasterFn:
@@ -85,23 +76,12 @@ class _RegisteredWorkflow:
     total: int = 0
 
 
-def static_critical_exec(dag: WorkflowDAG) -> float:
-    """Execution time of the critical path's function nodes (§2.3).
-
-    Edge weights are zeroed: the metric deducts only *execution* time,
-    so whatever transmission/scheduling remains in the end-to-end
-    latency is counted as overhead.
-    """
-    stripped = dag.copy()
-    for edge in stripped.edges:
-        edge.weight = 0.0
-    return critical_path(stripped).length
-
-
-class HyperFlowServerlessSystem:
+class HyperFlowServerlessSystem(WorkflowSystem):
     """The MasterSP workflow system: central engine + worker executors."""
 
     mode = "master-sp"
+    engine_label = "master-sp"
+    policy_class = RemoteStorePolicy
 
     def __init__(
         self,
@@ -112,35 +92,15 @@ class HyperFlowServerlessSystem:
         master: Optional[Node] = None,
         faults: Optional[FaultInjector] = None,
     ):
-        self.cluster = cluster
-        self.env = cluster.env
-        self.config = config or EngineConfig()
-        self.spans = cluster.spans
-        self.telemetry = cluster.telemetry
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        if self.spans.enabled:
-            self.metrics.spans = self.spans
-        self.policy = policy or RemoteStorePolicy(cluster, self.metrics)
-        self.registry = ProcessRegistry()
-        self.runtime = FunctionRuntime(
-            cluster, self.config, self.policy, faults=faults,
-            registry=self.registry,
-        )
+        super().__init__(cluster, config, policy, metrics, faults)
         # The paper deploys the central engine next to the invocation
         # generator and storage; we host it on the storage node.
         self.master = master or cluster.storage_node
         self._engine_lock = Resource(self.env, capacity=1)
         self._workflows: dict[str, _RegisteredWorkflow] = {}
-        # workflow -> telemetry tenant label (see :meth:`tenant_of`).
-        self._tenants: dict[str, str] = {}
         self.messages_sent = 0
         self.events_handled = 0
         self.busy_time = 0.0
-        self.node_crashes = 0
-        # Serving-lifecycle gauges (see the soak tests): current and
-        # peak concurrent invocations.
-        self.in_flight = 0
-        self.peak_in_flight = 0
 
     # -- registration -----------------------------------------------------
     def register(self, dag: WorkflowDAG, placement: Placement) -> None:
@@ -183,102 +143,34 @@ class HyperFlowServerlessSystem:
             raise KeyError(f"workflow {workflow!r} is not registered") from None
 
     # -- invocation ---------------------------------------------------------
-    def invoke(self, workflow: str) -> Generator:
-        """Simulation process: one end-to-end invocation.
-
-        Returns the :class:`InvocationRecord` (also stored in metrics).
-        Per-invocation state is two arrays owned by this process —
-        nothing is retained after the record is finalized, so the
-        master's live state is O(in-flight invocations).
-        """
+    def _resolve(self, workflow: str) -> tuple:
         registered = self.registered(workflow)
-        invocation_id = new_invocation_id()
-        env = self.env
-        record = InvocationRecord(
-            workflow=workflow,
-            invocation_id=invocation_id,
-            mode=self.mode,
-            started_at=env.now,
-            critical_path_exec=registered.critical_exec,
-        )
-        preds_done = [0] * registered.total
-        triggered = bytearray(registered.total)
-        # done fires on the last completion *or* the first failure;
-        # failure[0] records the failing error so the failure outcome
-        # wins when both land in the same timestep.
-        done = env.event()
-        failure: list = [None]
-        remaining = [registered.total]
-        shared = (
-            registered, invocation_id, preds_done, triggered,
-            remaining, done, failure, record,
-        )
-        self.in_flight += 1
-        if self.in_flight > self.peak_in_flight:
-            self.peak_in_flight = self.in_flight
+        return registered, registered.placement.version, registered.total
 
-        if self.spans.enabled:
-            self.spans.start_invocation(
-                invocation_id, workflow=workflow, mode=self.mode
-            )
+    def _launch(
+        self, context: InvocationContext, registered: _RegisteredWorkflow
+    ) -> None:
+        """Start the source tasks' coordinators.
+
+        The coordinators share the context and two flat arrays
+        (predecessors done, triggered) that die with them, so nothing
+        is retained after the record is closed.
+        """
+        invocation_id = context.record.invocation_id
+        triggered = bytearray(registered.total)
+        shared = (
+            registered, invocation_id, [0] * registered.total, triggered,
+            context,
+        )
         for fn in registered.sources:
             triggered[fn.index] = 1
             # Task coordinators live on the master, not on any worker:
             # they survive worker crashes (the runtime retries under
             # them) and die only with the invocation.
-            proc = env.process(self._run_task(fn, shared), name=fn.spawn_name)
+            proc = self.env.process(
+                self._run_task(fn, shared), name=fn.spawn_name
+            )
             self.registry.register(proc, invocation_id)
-
-        timeout = env.timeout(self.config.execution_timeout)
-
-        def _deadline(_event, _done=done):
-            # Watchdog callback: a pending invocation times out at the
-            # deadline.  Firing ``done`` with the sentinel lets this
-            # process wait on one event instead of an any_of condition.
-            if not _done.triggered:
-                _done.succeed(_TIMED_OUT)
-
-        timeout.callbacks.append(_deadline)
-        yield done
-        # Failure first: if the last task's completion and a failure
-        # land in the same timestep, the invocation failed.
-        if failure[0] is not None:
-            record.status = InvocationStatus.FAILED
-            record.finished_at = env.now
-        elif done.value is _TIMED_OUT:
-            record.status = InvocationStatus.TIMEOUT
-            record.finished_at = record.started_at + self.config.execution_timeout
-        else:
-            record.finished_at = env.now
-        if not timeout.processed:
-            # Don't leave a live 60-second timer per finished invocation
-            # in the kernel heap.
-            timeout.cancel()
-        if record.status != InvocationStatus.OK:
-            self.registry.cancel_invocation(
-                invocation_id,
-                CancelCause(CancelKind.INVOCATION_ABORT, detail=record.status),
-            )
-        self.registry.release_invocation(invocation_id)
-        self.policy.cleanup_invocation(registered.dag, invocation_id)
-        self.metrics.record_invocation(record)
-        if self.telemetry.enabled:
-            record_invocation_metrics(
-                self.telemetry, record, self.tenant_of(workflow), self.mode
-            )
-        if self.spans.enabled:
-            root = self.spans.root_of(invocation_id)
-            if root is not None:
-                self.spans.end(root, status=record.status)
-        self.in_flight -= 1
-        return record
-
-    def tenant_of(self, workflow: str) -> str:
-        """Telemetry tenant label for one workflow's invocations."""
-        return self._tenants.get(workflow, self.config.tenant)
-
-    def set_tenants(self, tenants: dict[str, str]) -> None:
-        self._tenants = dict(tenants)
 
     # -- internals -------------------------------------------------------
     def _engine_step(self) -> Generator:
@@ -292,10 +184,7 @@ class HyperFlowServerlessSystem:
             self.busy_time += self.config.master_process_time
 
     def _run_task(self, fn: _MasterFn, shared: tuple) -> Generator:
-        (
-            registered, invocation_id, preds_done, triggered,
-            remaining, done, failure, record,
-        ) = shared
+        registered, invocation_id, preds_done, triggered, context = shared
         dag = registered.dag
         triggered_at = self.env.now
         skipped = (
@@ -325,13 +214,10 @@ class HyperFlowServerlessSystem:
             try:
                 result = yield from self.runtime.execute(
                     dag, registered.placement, invocation_id, fn.name,
-                    version=registered.placement.version,
+                    version=context.version,
                 )
-            except FunctionFailure as error:
-                if failure[0] is None:
-                    failure[0] = error
-                    if not done.triggered:
-                        done.succeed()
+            except FunctionFailure:
+                context.fail(fn.name)
                 return
             except TaskCancelled:
                 return
@@ -340,8 +226,7 @@ class HyperFlowServerlessSystem:
                     self.registry.register(me, invocation_id, node="")
             if result is None:
                 return  # cancelled mid-flight; the canceller owns cleanup
-            record.cold_starts += result.cold_starts
-            record.retries += result.retries
+            context.count_attempts(result)
             # Stage 3: the execution state returns to the master.
             self.messages_sent += 1
             yield send_control(
@@ -352,24 +237,14 @@ class HyperFlowServerlessSystem:
         elif self.spans.enabled:
             # A step marker or a non-selected switch arm: the master's
             # bookkeeping step stands in for the execution.
-            self.spans.record(
-                SpanKind.FUNCTION,
-                triggered_at,
-                self.env.now,
-                workflow=dag.name,
-                invocation_id=invocation_id,
-                function=fn.name,
-                node=self.master.name,
-                parent=self.spans.root_of(invocation_id),
-                **{"skipped" if skipped else "virtual": True},
+            record_marker(
+                self.spans, triggered_at, self.env.now, dag.name,
+                invocation_id, fn.name, self.master.name, skipped,
             )
         # Completion handling in the serialized engine loop.
         yield from self._engine_step()
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            if failure[0] is None and not done.triggered:
-                done.succeed()
-            return
+        # The last task to complete has no successors left to trigger.
+        context.complete_one()
         for successor in fn.successors:
             index = successor.index
             count = preds_done[index] + 1

@@ -35,6 +35,11 @@ or a recovery replay is a :class:`_Hop`, and a sink report a
 step, apply) that queues exactly the events the process it replaces
 did.  Trigger handlers and eager pushes stay processes
 (:meth:`FaaSFlowSystem.spawn_registered`).
+
+The client side (record, watchdog, outcome, close) is the lifecycle
+all systems share (:class:`~.lifecycle.WorkflowSystem`); WorkerSP adds
+request hops at launch, a completion per sink report, and releasing
+the invocation's structures at teardown.
 """
 
 from __future__ import annotations
@@ -43,13 +48,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional, Sequence
 
 from ..dag import WorkflowDAG
-from ..metrics import (
-    InvocationRecord,
-    InvocationStatus,
-    MetricsCollector,
-)
-from ..obs.spans import SpanKind
-from ..obs.telemetry import record_invocation_metrics
+from ..metrics import MetricsCollector
 from ..sim import Cluster, Node, Resource, SimulationError
 from .config import EngineConfig
 from .control import send_control
@@ -59,11 +58,11 @@ from .faults import (
     CancelKind,
     FaultInjector,
     FunctionFailure,
-    ProcessRegistry,
     TaskCancelled,
 )
-from .master_engine import static_critical_exec
-from .runtime import FunctionRuntime
+from .lifecycle import (
+    InvocationContext, WorkflowSystem, record_marker, static_critical_exec,
+)
 from .switching import is_skipped
 from .state import (
     EXECUTED,
@@ -72,42 +71,9 @@ from .state import (
     InvocationID,
     Placement,
     WorkflowStructure,
-    new_invocation_id,
 )
 
 __all__ = ["WorkerEngine", "FaaSFlowSystem"]
-
-# Sentinel value carried by ``_InvocationContext.done`` when the
-# execution-timeout watchdog (not a sink report or failure) fired it.
-_TIMED_OUT = object()
-
-
-class _InvocationContext:
-    """Client-side bookkeeping for one in-flight invocation.
-
-    ``done`` is a single kernel event: it fires on the last sink report
-    *or* on the first failure (``failed`` records the failing function).
-    The invoke process checks ``failed`` before completion, so when both
-    land in the same timestep the failure wins — same semantics as the
-    former two-event scheme with one event fewer per invocation.
-    """
-
-    __slots__ = ("record", "version", "sinks_remaining", "done", "failed")
-
-    def __init__(self, record, version, sinks_remaining, done):
-        self.record = record
-        self.version = version
-        self.sinks_remaining = sinks_remaining
-        self.done = done
-        self.failed: Optional[str] = None
-
-    def _deadline(self, _event) -> None:
-        # Watchdog-timer callback: an invocation still pending at the
-        # deadline times out.  Firing ``done`` with the sentinel lets
-        # the invoke process wait on one event instead of a two-event
-        # any_of condition.
-        if not self.done.triggered:
-            self.done.succeed(_TIMED_OUT)
 
 
 @dataclass
@@ -549,18 +515,11 @@ class WorkerEngine:
             # one local bookkeeping action, no container and no data.
             triggered_at = self.env.now
             yield self.env.timeout(system.config.local_trigger_time)
-            spans = system.spans
-            if spans.enabled:
-                spans.record(
-                    SpanKind.FUNCTION,
-                    triggered_at,
-                    self.env.now,
-                    workflow=structure.workflow,
-                    invocation_id=invocation_id,
-                    function=function,
-                    node=self.node.name,
-                    parent=spans.root_of(invocation_id),
-                    **{"skipped" if skipped else "virtual": True},
+            if system.spans.enabled:
+                record_marker(
+                    system.spans, triggered_at, self.env.now,
+                    structure.workflow, invocation_id, function,
+                    self.node.name, skipped,
                 )
         else:
             # The runtime runs inline in this (already node-bound)
@@ -596,8 +555,7 @@ class WorkerEngine:
                 return
             context = system.context(invocation_id)
             if context is not None:
-                context.record.cold_starts += result.cold_starts
-                context.record.retries += result.retries
+                context.count_attempts(result)
             produced = True
         inv = structure.invocation(invocation_id)
         inv.flags[entry.index] |= EXECUTED
@@ -746,7 +704,7 @@ class WorkerEngine:
         return True
 
 
-class FaaSFlowSystem:
+class FaaSFlowSystem(WorkflowSystem):
     """The WorkerSP workflow system: graph-partitioned distributed engines."""
 
     mode = "worker-sp"
@@ -754,6 +712,7 @@ class FaaSFlowSystem:
     # a different triggering paradigm (DataflowSP) override both.
     engine_label = "worker-sp"
     engine_class = WorkerEngine
+    policy_class = FaaStorePolicy
 
     def __init__(
         self,
@@ -763,21 +722,8 @@ class FaaSFlowSystem:
         metrics: Optional[MetricsCollector] = None,
         faults: Optional[FaultInjector] = None,
     ):
-        self.cluster = cluster
-        self.env = cluster.env
+        super().__init__(cluster, config, policy, metrics, faults)
         self.network = cluster.network
-        self.config = config or EngineConfig()
-        self.spans = cluster.spans
-        self.telemetry = cluster.telemetry
-        self.metrics = metrics if metrics is not None else MetricsCollector()
-        if self.spans.enabled:
-            self.metrics.spans = self.spans
-        self.policy = policy or FaaStorePolicy(cluster, self.metrics)
-        self.registry = ProcessRegistry()
-        self.runtime = FunctionRuntime(
-            cluster, self.config, self.policy, faults=faults,
-            registry=self.registry,
-        )
         # The master node doubles as the invoking client (paper §5.1).
         self.client_node = cluster.storage_node
         self.engines: dict[str, WorkerEngine] = {
@@ -786,15 +732,7 @@ class FaaSFlowSystem:
         }
         self._deployed: dict[tuple[str, int], _DeployedWorkflow] = {}
         self._current_version: dict[str, int] = {}
-        self._contexts: dict[InvocationID, _InvocationContext] = {}
-        # workflow -> telemetry tenant label (see :meth:`tenant_of`).
-        self._tenants: dict[str, str] = {}
-        self.node_crashes = 0
         self.retriggered = 0
-        # Serving-lifecycle gauges: current and peak concurrent
-        # invocations, so soak tests can pin memory ∝ concurrency.
-        self.in_flight = 0
-        self.peak_in_flight = 0
         # node name -> tasks lost to a crash, re-triggered on recovery.
         self._crash_pending: dict[
             str, list[tuple[str, int, InvocationID, str]]
@@ -926,90 +864,36 @@ class FaaSFlowSystem:
             engine.retire(workflow, version)
 
     # -- invocation ----------------------------------------------------------
-    def context(self, invocation_id: InvocationID) -> Optional[_InvocationContext]:
-        return self._contexts.get(invocation_id)
-
-    def invoke(self, workflow: str) -> Generator:
-        """Simulation process: one end-to-end invocation (client side)."""
+    def _resolve(self, workflow: str) -> tuple:
         version = self._current_version.get(workflow)
         if version is None:
             raise KeyError(f"workflow {workflow!r} is not deployed")
         deployed = self._deployed[(workflow, version)]
-        invocation_id = new_invocation_id()
-        env = self.env
-        record = InvocationRecord(
-            workflow=workflow,
-            invocation_id=invocation_id,
-            mode=self.mode,
-            started_at=env.now,
-            critical_path_exec=deployed.critical_exec,
-        )
-        context = _InvocationContext(
-            record=record,
-            version=version,
-            sinks_remaining=deployed.sink_count,
-            done=env.event(),
-        )
-        self._contexts[invocation_id] = context
+        return deployed, version, deployed.sink_count
+
+    def _launch(
+        self, context: InvocationContext, deployed: _DeployedWorkflow
+    ) -> None:
+        """The client ships the invocation request to each entry
+        function's worker; from there everything is worker-side."""
         deployed.live_invocations += 1
-        self.in_flight += 1
-        if self.in_flight > self.peak_in_flight:
-            self.peak_in_flight = self.in_flight
-        if self.spans.enabled:
-            self.spans.start_invocation(
-                invocation_id, workflow=workflow, mode=self.mode
-            )
-        # The client ships the invocation request to each entry
-        # function's worker; from there everything is worker-side.
+        invocation_id = context.record.invocation_id
         for engine, structure, entries, tag in deployed.sources:
             self._send_invocation(invocation_id, engine, structure, entries, tag)
-        timeout = env.timeout(self.config.execution_timeout)
-        timeout.callbacks.append(context._deadline)
-        yield context.done
-        # Check failure *before* completion: when a failure report and
-        # the last sink report land in the same timestep, the failure
-        # must win (sink_completed also refuses to count sinks after a
-        # failure, so the completion path can't even trigger then).
-        if context.failed is not None:
-            record.status = InvocationStatus.FAILED
-            record.finished_at = env.now
-        elif context.done.value is _TIMED_OUT:
-            record.status = InvocationStatus.TIMEOUT
-            record.finished_at = record.started_at + self.config.execution_timeout
-        else:
-            record.finished_at = env.now
-        if not timeout.processed:
-            # Cancel the watchdog so the kernel heap doesn't accumulate
-            # one 60-second timer per completed invocation.
-            timeout.cancel()
-        if record.status != InvocationStatus.OK:
-            self.registry.cancel_invocation(
-                invocation_id,
-                CancelCause(CancelKind.INVOCATION_ABORT, detail=record.status),
-            )
-        self.registry.release_invocation(invocation_id)
-        self.policy.cleanup_invocation(deployed.dag, invocation_id)
-        self.metrics.record_invocation(record)
-        if self.telemetry.enabled:
-            record_invocation_metrics(
-                self.telemetry, record, self.tenant_of(workflow),
-                self.engine_label,
-            )
-        if self.spans.enabled:
-            root = self.spans.root_of(invocation_id)
-            if root is not None:
-                self.spans.end(root, status=record.status)
-        self._contexts.pop(invocation_id, None)
-        # Release the per-invocation *State* arrays on every engine
-        # that holds a sub-graph of this workflow (paper §4.2.1), so
-        # live engine memory is O(in-flight), not O(served).
+
+    def _teardown(
+        self, context: InvocationContext, deployed: _DeployedWorkflow
+    ) -> None:
+        """Release the per-invocation *State* arrays on every engine
+        that holds a sub-graph of this workflow (paper §4.2.1), so live
+        engine memory is O(in-flight), not O(served)."""
+        invocation_id = context.record.invocation_id
         for structure in deployed.structures:
             structure.release_invocation(invocation_id)
         deployed.live_invocations -= 1
-        self.in_flight -= 1
-        if version != self._current_version.get(workflow):
-            self._try_retire(workflow, version)
-        return record
+        workflow = deployed.dag.name
+        if context.version != self._current_version.get(workflow):
+            self._try_retire(workflow, context.version)
 
     def _send_invocation(
         self,
@@ -1031,38 +915,17 @@ class FaaSFlowSystem:
             hop._land,
         )
 
-    def tenant_of(self, workflow: str) -> str:
-        """Telemetry tenant label for one workflow's invocations.
-
-        ``EngineConfig.tenant`` is the system-wide default; multi-tenant
-        serving harnesses may register per-workflow owners through
-        :meth:`set_tenants` for per-tenant rollups.
-        """
-        return self._tenants.get(workflow, self.config.tenant)
-
-    def set_tenants(self, tenants: dict[str, str]) -> None:
-        self._tenants = dict(tenants)
-
     def invocation_failed(
         self, workflow: str, invocation_id: InvocationID, function: str
     ) -> None:
         context = self._contexts.get(invocation_id)
-        if context is None:
-            return  # already timed out / torn down
-        if context.failed is None:
-            context.failed = function
-            if not context.done.triggered:
-                context.done.succeed(function)
+        if context is not None:  # else already timed out / torn down
+            context.fail(function)
 
     def sink_completed(self, workflow: str, invocation_id: InvocationID) -> None:
         context = self._contexts.get(invocation_id)
-        if context is None:
-            return  # invocation already timed out and was torn down
-        if context.failed is not None:
-            return  # already failed; a late sink can't resurrect it
-        context.sinks_remaining -= 1
-        if context.sinks_remaining == 0 and not context.done.triggered:
-            context.done.succeed()
+        if context is not None:  # else already timed out / torn down
+            context.complete_one()
 
     # -- fault hooks (called by FaultDriver) ----------------------------------
     def on_node_crash(self, node_name: str) -> None:

@@ -164,8 +164,7 @@ def run(
         total_ok += ok
         latency = telemetry.histogram(
             "workflow.latency",
-            tenant=tenant, workflow=workflow, engine=system.engine_label
-            if hasattr(system, "engine_label") else system.mode,
+            tenant=tenant, workflow=workflow, engine=system.engine_label,
         )
         rows.append(
             [

@@ -653,10 +653,11 @@ def record_invocation_metrics(
 ) -> None:
     """Fold one finished invocation into the registry.
 
-    The shared emit path for both engines (called at their
-    ``metrics.record_invocation`` point): latency and scheduling
-    overhead into histograms, plus status / cold-start / retry counters,
-    all labeled (tenant, workflow, engine).
+    Called once per invocation, where
+    :meth:`repro.core.lifecycle.WorkflowSystem.invoke` closes the record
+    for every engine: latency and scheduling overhead into histograms,
+    plus status / cold-start / retry counters, all labeled (tenant,
+    workflow, engine).
     """
     status = record.status
     cache = telemetry.site_cache("workflow")

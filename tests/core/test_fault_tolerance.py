@@ -241,13 +241,13 @@ class TestCancellationPropagation:
             yield env.timeout(0.01)
             invocation_id = next(iter(system._contexts))
             context = system.context(invocation_id)
-            sinks_before = context.sinks_remaining
+            sinks_before = context.remaining
             system.invocation_failed("fan", invocation_id, "b0")
             system.sink_completed("fan", invocation_id)
             # The late sink must not count toward completion once the
             # invocation has failed.
             assert context.failed == "b0"
-            assert context.sinks_remaining == sinks_before
+            assert context.remaining == sinks_before
             yield proc
 
         done = env.process(client())
