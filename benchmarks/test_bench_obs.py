@@ -12,17 +12,19 @@ through ``run_workflow_cells``) three times over:
 - **spans** — ``trace=True`` with telemetry off: a ``SpanTracer``
   records every invocation's span tree into its ring.
 
-The headline number is the telemetry-over-off wall-clock ratio
-(best-of rounds on every side).  The sides are interleaved: each round
-runs off, telemetry and spans once each, and the order rotates by one
-side per round, so host drift during the bench lands on every side
-alike instead of on whichever side happened to run last.  ``spans_overhead_ratio`` is the same
-ratio for the spans side.  CI gates both under ``_MAX_OVERHEAD_RATIO``.
-The full size is
-1000 invocations per cell, 4000 in all, the size of one perfbench
-``observed`` round, so the cost is measured at serving scale.  Each
-side also reports the seconds its best round spent in CPython's cyclic
-garbage collector (timed through ``gc.callbacks``).  The bench also
+The headline number is the telemetry-over-off wall-clock ratio.  The
+sides are interleaved: each round runs off, telemetry and spans once
+each, back to back, and the order rotates by one side per round, so
+host drift during the bench lands on every side alike instead of on
+whichever side happened to run last.  Each round yields its own
+``on/off`` and ``spans/off`` ratios (``*_per_round``); the reported
+``overhead_ratio`` and ``spans_overhead_ratio`` are their medians, so
+no single outlying round sets them.  CI gates both under
+``_MAX_OVERHEAD_RATIO``.  The full size is 1000 invocations per cell,
+4000 in all, the size of one perfbench ``observed`` round, so the cost
+is measured at serving scale.  Wall and GC seconds (time in CPython's
+cyclic garbage collector, through ``gc.callbacks``) are per-side
+medians over the rounds.  The bench also
 re-asserts the sharded merge contract — per-cell snapshots merged in
 cell order at S=2 must be bit-identical to the shards=1 run — so a
 determinism regression invalidates the bench, not just a test.
@@ -43,6 +45,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from statistics import median
 
 from repro.obs.telemetry import merge_snapshots
 from repro.sim.shard import make_workflow_cell, run_workflow_cells
@@ -97,14 +100,15 @@ class _GCTimer:
         gc.callbacks.remove(self)
 
 
-def _interleaved_best_of(sides: dict, rounds: int) -> dict:
-    """Wall and GC seconds of each side's fastest of ``rounds`` runs.
+def _interleaved_rounds(sides: dict, rounds: int) -> dict:
+    """Wall and GC seconds of every side's run in each of ``rounds``.
 
-    ``sides`` maps a name to a zero-argument callable.  Every round runs
-    each side once; round ``r`` starts at side ``r mod len(sides)``.
+    ``sides`` maps a name to a zero-argument callable; the result maps
+    it to one ``(wall, gc)`` pair per round.  Every round runs each side
+    once; round ``r`` starts at side ``r mod len(sides)``.
     """
     names = list(sides)
-    best = {name: (float("inf"), 0.0) for name in names}
+    runs = {name: [] for name in names}
     for round_index in range(rounds):
         shift = round_index % len(names)
         for name in names[shift:] + names[:shift]:
@@ -113,8 +117,8 @@ def _interleaved_best_of(sides: dict, rounds: int) -> dict:
                 start = time.perf_counter()
                 sides[name]()
                 wall = time.perf_counter() - start
-            best[name] = min(best[name], (wall, timer.seconds))
-    return best
+            runs[name].append((wall, timer.seconds))
+    return runs
 
 
 def _git_sha() -> str:
@@ -150,7 +154,7 @@ def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
         )
     series = len(merged_serial["metrics"])
 
-    best = _interleaved_best_of(
+    runs = _interleaved_rounds(
         {
             "off": lambda: run_workflow_cells(off_cells, jobs=1),
             "on": lambda: run_workflow_cells(on_cells, jobs=1),
@@ -158,26 +162,37 @@ def _measure(invocations: int, rounds: int = _ROUNDS) -> dict:
         },
         rounds,
     )
-    off_wall, off_gc = best["off"]
-    on_wall, on_gc = best["on"]
-    spans_wall, spans_gc = best["spans"]
-    return {
+    wall = {name: [w for w, _ in side] for name, side in runs.items()}
+    gc_s = {name: [g for _, g in side] for name, side in runs.items()}
+    ratios = {
+        "overhead_ratio": [
+            on / off for on, off in zip(wall["on"], wall["off"])
+        ],
+        "spans_overhead_ratio": [
+            spans / off for spans, off in zip(wall["spans"], wall["off"])
+        ],
+    }
+    off_wall = median(wall["off"])
+    on_wall = median(wall["on"])
+    result = {
         "invocations_per_cell": invocations,
         "cells": len(_WORKLOADS),
         "total_invocations": total_invocations,
         "metric_series": series,
         "off_wall_seconds": round(off_wall, 6),
         "on_wall_seconds": round(on_wall, 6),
-        "off_gc_seconds": round(off_gc, 6),
-        "on_gc_seconds": round(on_gc, 6),
-        "spans_wall_seconds": round(spans_wall, 6),
-        "spans_gc_seconds": round(spans_gc, 6),
+        "off_gc_seconds": round(median(gc_s["off"]), 6),
+        "on_gc_seconds": round(median(gc_s["on"]), 6),
+        "spans_wall_seconds": round(median(wall["spans"]), 6),
+        "spans_gc_seconds": round(median(gc_s["spans"]), 6),
         "off_invocations_per_sec": round(total_invocations / off_wall, 2),
         "on_invocations_per_sec": round(total_invocations / on_wall, 2),
-        "overhead_ratio": round(on_wall / off_wall, 4),
-        "spans_overhead_ratio": round(spans_wall / off_wall, 4),
-        "sharded_merge_identical": True,
     }
+    for name, per_round in ratios.items():
+        result[name] = round(median(per_round), 4)
+        result[f"{name}_per_round"] = [round(r, 4) for r in per_round]
+    result["sharded_merge_identical"] = True
+    return result
 
 
 def test_telemetry_overhead_bounded(benchmark):
@@ -201,8 +216,8 @@ def main(argv=None) -> int:
     result = _measure(invocations, rounds=rounds)
     payload = {
         "bench": "engine wall clock with streaming telemetry on, and with "
-        f"spans on, vs off (best of {rounds} interleaved round(s) per "
-        "side, side order rotated each round)",
+        f"spans on, vs off ({rounds} interleaved round(s), side order "
+        "rotated each round; ratios are medians of the per-round ratios)",
         "baseline": "NULL_TELEMETRY and NULL_SPANS zero-cost-off path (one "
         "enabled-check per would-be emit or span)",
         "instrumented": "MetricsRegistry on the simulated clock: engines, "

@@ -7,6 +7,16 @@ most 10 containers per function may exist on one node.  A per-node
 a warm container is free, a cold start pays ``cold_start_time``, and the
 pool enforces the per-function cap by queueing excess requests.
 
+Keep-alive expiry is lazy: a container has at most one pending expiry
+timer.  A release records ``last_used`` and arms a ``keepalive`` timer
+only if none is pending; a warm acquire cancels nothing.  When the timer
+fires, an idle container whose ``last_used + keepalive`` has passed is
+evicted, an idle one reused since is re-armed for exactly that instant,
+and a busy one is left alone (its next release arms a fresh timer).
+Eviction therefore happens ``keepalive`` after the last release, as if
+every release had re-armed the timer, with at most one timer queued
+per container instead of one armed (and mostly cancelled) per release.
+
 FaaStore's memory reclamation (paper §4.3.2) is modeled through
 :meth:`Container.set_memory_limit`, the cgroup-limit update that returns
 over-provisioned container memory to the node's FaaStore pool.
@@ -98,9 +108,11 @@ class Container:
         self.invocations = 0
         self.last_used = pool.env.now
         self._memory_handle = memory_handle
-        # Pending keep-alive timer while idle; cancelled on reuse/destroy.
+        # The one pending keep-alive timer, if any.  It may be stale (the
+        # container was reused since it was armed); ``_expire`` sorts
+        # that out when it fires.  Cancelled only on destroy.
         self._expiry_timer: Optional[Timeout] = None
-        # Bound once: every release re-arms the timer with this callback.
+        # Bound once: every timer armed for this container calls it.
         self._on_expiry = partial(pool._expire, self)
 
     @property
@@ -238,7 +250,6 @@ class ContainerPool:
                 self._destroy(container)
                 continue
             container.state = ContainerState.BUSY
-            self._cancel_expiry(container)
             container.invocations += 1
             self.warm_reuses += 1
             if self.telemetry.enabled:
@@ -352,7 +363,8 @@ class ContainerPool:
             return
         container.state = ContainerState.IDLE
         self._idle.setdefault(container.function, deque()).append(container)
-        self._schedule_expiry(container)
+        if container._expiry_timer is None:
+            self._arm_expiry(container, self.env.timeout(self.spec.keepalive))
 
     def crash(self, container: Container) -> None:
         """A busy container died (OOM, runtime fault): destroy it.
@@ -480,7 +492,10 @@ class ContainerPool:
             return
         was_busy = container.state == ContainerState.BUSY
         container.state = ContainerState.DEAD
-        self._cancel_expiry(container)
+        timer = container._expiry_timer
+        if timer is not None:
+            timer.cancel()
+            container._expiry_timer = None
         self.memory.free(container._memory_handle)
         if self.telemetry.enabled:
             self.telemetry.inc(
@@ -525,23 +540,27 @@ class ContainerPool:
             )
         return handle
 
-    def _cancel_expiry(self, container: Container) -> None:
-        timer = container._expiry_timer
-        if timer is not None:
-            timer.cancel()
-            container._expiry_timer = None
-
-    def _schedule_expiry(self, container: Container) -> None:
-        self._cancel_expiry(container)
-        timer = self.env.timeout(self.spec.keepalive)
+    def _arm_expiry(self, container: Container, timer: Timeout) -> None:
         timer.callbacks.append(container._on_expiry)
         container._expiry_timer = timer
 
     def _expire(self, container: Container, _: Event) -> None:
-        """Keep-alive ran out: evict ``container`` if it is still idle."""
+        """A keep-alive timer fired: evict ``container`` if it is due.
+
+        The timer was armed at some release; the container may have been
+        reused since.  Busy: nothing to do, its next release arms a new
+        timer.  Idle but released later than the timer assumed: re-arm
+        at ``last_used + keepalive`` (the exact float the release's own
+        ``now + keepalive`` timer would have carried).  Otherwise evict.
+        """
         container._expiry_timer = None
-        if container.state == ContainerState.IDLE:
-            idle = self._idle.get(container.function)
-            if idle and container in idle:
-                idle.remove(container)
-            self._destroy(container)
+        if container.state != ContainerState.IDLE:
+            return
+        deadline = container.last_used + self.spec.keepalive
+        if deadline > self.env.now:
+            self._arm_expiry(container, self.env.schedule_at(deadline))
+            return
+        idle = self._idle.get(container.function)
+        if idle and container in idle:
+            idle.remove(container)
+        self._destroy(container)

@@ -217,13 +217,12 @@ class Timeout(Event):
         its scheduled time surfaces, and is compacted out in bulk when
         tombstones come to dominate the queue; either way the observable
         simulation — clock, callback order, final drain time — is the
-        same.  This is for timers that get superseded before
-        they fire (the network's completion wake-up, a container's
-        keep-alive expiry, an invocation's execution watchdog).  The
-        caller is responsible for not cancelling a timeout some process
-        still waits on (that process would never resume).  Cancelling
-        twice is a no-op; cancelling an already-processed timeout is an
-        error.
+        same.  This is for timers that get superseded before they fire
+        (the network's completion wake-up, an invocation's execution
+        watchdog).  The caller is responsible for not cancelling a
+        timeout some process still waits on (that process would never
+        resume).  Cancelling twice is a no-op; cancelling an
+        already-processed timeout is an error.
         """
         if self._state == PROCESSED:
             raise SimulationError("cannot cancel a processed timeout")

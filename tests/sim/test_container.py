@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.spans import SpanTracer
 from repro.sim.container import ContainerPool, ContainerSpec, ContainerState
 from repro.sim.kernel import Environment, SimulationError
 from repro.sim.resources import CPUAllocator, MemoryAccount
@@ -109,6 +110,166 @@ class TestKeepAlive:
         container = env.run(until=pool.acquire("fn"))
         env.run(until=50.0)
         assert container.state == ContainerState.BUSY
+
+    # Exact semantics: a container is evicted ``keepalive`` after its
+    # last release, to the float, and exactly once.
+
+    def test_reuse_then_idle_evicts_at_last_release_plus_keepalive(self, env):
+        pool = make_pool(env, keepalive=10.0)
+        destroyed = _destroy_log(pool)
+        container = env.run(until=pool.acquire("fn"))
+        pool.release(container)  # t=0.5: the one timer, due at 10.5
+        released = []
+
+        def reuser(env, pool):
+            for gap in (1.3, 2.7, 0.9):
+                yield env.timeout(gap)
+                c = yield pool.acquire("fn")
+                yield env.timeout(0.35)
+                pool.release(c)
+                released.append(env.now)
+
+        env.process(reuser(env, pool))
+        env.run(until=8.0)
+        # Three warm reuses armed no timer: one keep-alive timer queued.
+        assert env.queued_events == 1
+        env.run()
+        assert pool.warm_reuses == 3
+        assert destroyed() == [
+            (container.container_id, "evict", released[-1] + 10.0)
+        ]
+
+    def test_busy_when_stale_timer_fires(self, env):
+        pool = make_pool(env, keepalive=10.0)
+        destroyed = _destroy_log(pool)
+        container = env.run(until=pool.acquire("fn"))
+        pool.release(container)  # timer due at 10.5
+        released = []
+
+        def holder(env, pool):
+            yield env.timeout(2.0)
+            c = yield pool.acquire("fn")
+            yield env.timeout(13.1)  # busy across t=10.5
+            pool.release(c)
+            released.append(env.now)
+
+        env.process(holder(env, pool))
+        env.run(until=11.0)
+        assert container.state == ContainerState.BUSY
+        assert container._expiry_timer is None  # fired and did nothing
+        env.run()
+        assert destroyed() == [
+            (container.container_id, "evict", released[0] + 10.0)
+        ]
+
+    def test_release_and_reacquire_at_same_instant(self, env):
+        pool = make_pool(env, keepalive=10.0)
+        destroyed = _destroy_log(pool)
+        container = env.run(until=pool.acquire("fn"))
+        t0 = env.now
+        pool.release(container)
+        again = env.run(until=pool.acquire("fn"))
+        assert again is container and env.now == t0
+        pool.release(again)
+        again = env.run(until=pool.acquire("fn"))
+        assert again is container and env.now == t0
+        # Busy when its timer fires at t0 + 10: survives.
+        env.run(until=t0 + 12.25)
+        assert container.state == ContainerState.BUSY
+        released = env.now
+        pool.release(container)
+        pool.release(env.run(until=pool.acquire("fn")))
+        assert env.queued_events == 1
+        env.run()
+        assert destroyed() == [
+            (container.container_id, "evict", released + 10.0)
+        ]
+
+    def test_release_reacquire_release_at_one_instant(self, env):
+        pool = make_pool(env, keepalive=10.0)
+        destroyed = _destroy_log(pool)
+        container = env.run(until=pool.acquire("fn"))
+        t0 = env.now
+        pool.release(container)
+        pool.release(env.run(until=pool.acquire("fn")))
+        assert env.now == t0 and env.queued_events == 1
+        env.run()
+        assert destroyed() == [(container.container_id, "evict", t0 + 10.0)]
+
+    @pytest.mark.parametrize("reused", [False, True])
+    @pytest.mark.parametrize("how", ["fail_all", "recycle_version", "drain"])
+    def test_destroy_with_pending_timer(self, env, how, reused):
+        pool = make_pool(env, keepalive=10.0)
+        destroyed = _destroy_log(pool)
+        container = env.run(until=pool.acquire("fn"))
+        pool.release(container)
+        if reused:  # the pending timer is stale by now
+            env.run(until=3.0)
+            pool.release(env.run(until=pool.acquire("fn")))
+        env.run(until=5.0)
+        assert container._expiry_timer is not None
+        if how == "fail_all":
+            pool.set_offline(True)
+            assert pool.fail_all() == 1
+        elif how == "recycle_version":
+            assert pool.recycle_version("fn", version=1) == 1
+        else:
+            assert pool.drain() == 1
+        assert container.state == ContainerState.DEAD
+        assert container._expiry_timer is None
+        # Nothing left to fire: the timer is cancelled, not just ignored.
+        assert env.peek() == float("inf")
+        env.run(until=100.0)
+        assert destroyed() == [(container.container_id, "evict", 5.0)]
+        assert pool.memory.reserved_by_tag("container") == 0
+
+    def test_crash_of_busy_container_with_stale_timer(self, env):
+        pool = make_pool(env, keepalive=10.0)
+        destroyed = _destroy_log(pool)
+        container = env.run(until=pool.acquire("fn"))
+        pool.release(container)
+        env.run(until=2.0)
+        container = env.run(until=pool.acquire("fn"))
+        pool.crash(container)
+        assert env.peek() == float("inf")
+        env.run(until=100.0)
+        assert destroyed() == [(container.container_id, "crash", 2.0)]
+
+    def test_prewarmed_containers_expire_from_parking(self, env):
+        pool = make_pool(env, keepalive=10.0)
+        destroyed = _destroy_log(pool)
+        assert pool.prewarm("fn", count=2) == 2
+        first, second = pool._all["fn"]
+        env.run(until=1.0)  # both parked at t=0.5, timers due at 10.5
+        assert env.queued_events == 2
+        released = []
+
+        def user(env, pool):
+            yield env.timeout(3.0)
+            c = yield pool.acquire("fn")
+            yield env.timeout(1.7)
+            pool.release(c)
+            released.append(env.now)
+
+        env.process(user(env, pool))
+        env.run()
+        assert pool.cold_starts == 2 and pool.warm_reuses == 1
+        # The warm pool is FIFO: the first parked container was reused.
+        assert destroyed() == [
+            (second.container_id, "evict", 0.5 + 10.0),
+            (first.container_id, "evict", released[0] + 10.0),
+        ]
+
+
+def _destroy_log(pool):
+    """Install a tracer on ``pool``; the returned callable lists every
+    evict/crash so far as ``(container_id, lifecycle, time)``."""
+    tracer = pool.spans = SpanTracer(pool.env)
+    return lambda: [
+        (s.attrs["container"], s.attrs["lifecycle"], s.start)
+        for s in tracer.spans
+        if s.attrs.get("lifecycle") in ("evict", "crash")
+    ]
 
 
 class TestRedBlackVersions:

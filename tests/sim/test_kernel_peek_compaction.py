@@ -5,16 +5,16 @@ surfaces or compaction sweeps it), which used to let ``peek()`` report a
 time that would never fire.  Any caller that steps to the next real
 event or treats ``peek() == inf`` as "drained" would then wait on a
 timer that never fires.  These tests pin the repaired contract, plus the kernel's
-``TIMER_COMPACTION_THRESHOLD`` and its behavior under container
-keep-alive churn (the workload that generates cancelled timers by the
-hundreds).
+``TIMER_COMPACTION_THRESHOLD`` and its behavior under invocation churn
+(one execution watchdog armed and cancelled per invocation, the
+workload that generates cancelled timers by the hundreds).
 """
 
 import random
 
 from repro.sim import kernel
 from repro.sim.container import ContainerPool, ContainerSpec
-from repro.sim.kernel import Environment
+from repro.sim.kernel import Environment, Timeout
 from repro.sim.resources import CPUAllocator, MemoryAccount
 
 MB = 1024.0 * 1024.0
@@ -129,24 +129,39 @@ def _make_pool(env, **spec_kwargs):
 
 
 class TestKeepAliveChurn:
-    """Heavy warm-reuse churn: every release schedules a keep-alive
-    expiry timer, every warm acquire cancels it.  Compaction must keep
-    the heap bounded instead of letting dead entries pile up one per
-    invocation."""
+    """Heavy warm-reuse churn, one invocation per cycle: each cycle arms
+    a long execution watchdog and cancels it when the invocation ends,
+    as ``WorkflowSystem.invoke`` does.  Compaction must keep the heap
+    bounded instead of letting dead entries pile up one per invocation.
+    Keep-alive expiry itself cancels nothing: the container keeps one
+    timer queued however often it is reused."""
 
     CYCLES = 400
+    WATCHDOG = 60.0
 
-    def _churn(self, env, pool, max_queue):
+    def _churn(self, env, pool, max_queue, keepalive_timers=None):
         def driver():
             for _ in range(self.CYCLES):
+                watchdog = env.timeout(self.WATCHDOG)
                 container = yield pool.acquire("fn")
                 yield env.timeout(0.001)
                 pool.release(container)
+                watchdog.cancel()
                 yield env.timeout(0.001)
                 max_queue[0] = max(max_queue[0], env.queued_events)
+                if keepalive_timers is not None:
+                    keepalive_timers.add(_queued_expiries(env, container))
 
         env.process(driver())
         env.run()
+
+    def test_one_keepalive_timer_per_container(self):
+        env = Environment()
+        pool = _make_pool(env)
+        keepalive_timers = set()
+        self._churn(env, pool, [0], keepalive_timers)
+        assert pool.warm_reuses == self.CYCLES - 1
+        assert keepalive_timers == {1}
 
     def test_queue_stays_bounded_default_threshold(self):
         env = Environment()
@@ -182,3 +197,12 @@ class TestKeepAliveChurn:
                 (env.now, pool.cold_starts, pool.warm_reuses)
             )
         assert len(set(finals)) == 1
+
+
+def _queued_expiries(env, container):
+    """Keep-alive timers queued for ``container``, tombstones included."""
+    return sum(
+        1
+        for _, _, event in env._queue
+        if type(event) is Timeout and container._on_expiry in event.callbacks
+    )

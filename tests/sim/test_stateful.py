@@ -25,7 +25,7 @@ FUNCTIONS = ["fa", "fb", "fc"]
 
 
 class ContainerPoolMachine(RuleBasedStateMachine):
-    """Acquire/release/recycle/expire in arbitrary order."""
+    """Acquire/release/recycle/expire/drain/crash in arbitrary order."""
 
     @initialize()
     def setup(self):
@@ -41,6 +41,17 @@ class ContainerPoolMachine(RuleBasedStateMachine):
         )
         self.busy = []
         self.pending = []
+        # Every keep-alive eviction as (container, time).  Containers
+        # bind ``pool._expire`` when created, so the spy sees them all.
+        self.expired = []
+        expire = self.pool._expire
+
+        def spy(container, event):
+            expire(container, event)
+            if container.state == ContainerState.DEAD:
+                self.expired.append((container, self.env.now))
+
+        self.pool._expire = spy
 
     @rule(function=st.sampled_from(FUNCTIONS))
     def acquire(self, function):
@@ -74,6 +85,35 @@ class ContainerPoolMachine(RuleBasedStateMachine):
     def let_keepalive_expire(self):
         self.env.run(until=self.env.now + 60.0)
 
+    @rule(
+        function=st.sampled_from(FUNCTIONS),
+        seconds=st.sampled_from([1.0, 60.0]),
+    )
+    def use_once(self, function, seconds):
+        """Acquire, stay busy ``seconds`` (60: past any pending expiry),
+        release."""
+        event = self.pool.acquire(function)
+        self.env.run(until=self.env.now + 0.2)
+        if not event.processed:
+            self.pending.append(event)
+            return
+        self.env.run(until=self.env.now + seconds)
+        self.pool.release(event.value)
+
+    @rule(seconds=st.sampled_from([10.0, 25.0, 49.9]))
+    def idle_a_while(self, seconds):
+        self.env.run(until=self.env.now + seconds)
+
+    @rule()
+    def drain(self):
+        self.pool.drain()
+
+    @rule()
+    def crash_node(self):
+        self.pool.set_offline(True)
+        self.pool.fail_all()
+        self.pool.set_offline(False)
+
     @invariant()
     def memory_never_overcommitted(self):
         assert self.pool.memory.reserved <= self.pool.memory.capacity + 1e-6
@@ -93,6 +133,26 @@ class ContainerPoolMachine(RuleBasedStateMachine):
         )
         reserved = self.pool.memory.reserved_by_tag("container")
         assert reserved == pytest.approx(live * 256 * MB)
+
+    @invariant()
+    def idle_containers_have_a_pending_timer(self):
+        containers = [c for cs in self.pool._all.values() for c in cs]
+        containers += [c for idle in self.pool._idle.values() for c in idle]
+        for c in containers:
+            if c.state == ContainerState.IDLE:
+                timer = c._expiry_timer
+                assert timer is not None
+                assert not timer.cancelled and not timer.processed
+
+    @invariant()
+    def evicted_exactly_keepalive_after_last_use(self):
+        for container, when in self.expired:
+            assert container.last_used + 50.0 <= when
+        now = self.env.now
+        for containers in self.pool._all.values():
+            for c in containers:
+                if c.state == ContainerState.IDLE:
+                    assert c.last_used + 50.0 >= now
 
     @invariant()
     def dead_containers_not_listed(self):
