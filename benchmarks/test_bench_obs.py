@@ -51,7 +51,7 @@ from repro.obs.telemetry import merge_snapshots
 from repro.sim.shard import make_workflow_cell, run_workflow_cells
 
 _HERE = Path(__file__).resolve().parent
-_ROUNDS = 3
+_ROUNDS = 5
 # Acceptance gate: the instrumented run may cost at most this multiple
 # of the zero-cost-off run's wall clock.  Generous on purpose — CI
 # machines are noisy and the quick workload is small — while still

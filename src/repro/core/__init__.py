@@ -42,9 +42,7 @@ from .scheduler import (
 from .switching import is_skipped, selected_case
 from .state import (
     FunctionInfo,
-    FunctionState,
     InvocationID,
-    InvocationState,
     Placement,
     PlacementError,
     WorkflowStructure,
@@ -73,7 +71,6 @@ __all__ = [
     "TaskCancelled",
     "FunctionInfo",
     "FunctionRuntime",
-    "FunctionState",
     "GraphScheduler",
     "GroupingConfig",
     "GroupingError",
@@ -84,7 +81,6 @@ __all__ = [
     "selected_case",
     "HyperFlowServerlessSystem",
     "InvocationID",
-    "InvocationState",
     "MemoryUsageHistory",
     "MonolithicSystem",
     "new_invocation_id",

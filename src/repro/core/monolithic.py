@@ -10,25 +10,41 @@ The DAG still executes with its real parallelism (bounded by the node's
 cores), so the monolithic end-to-end latency is meaningful too; what
 the experiment reports is the *data movement*: one local write per
 producer output, nothing else.
+
+Registration compiles the DAG to a dense function index (predecessor
+count and successor indices per function), and each invocation's
+*State* is the two flat arrays MasterSP uses: predecessors done and
+triggered.  A closed record goes to the metrics collector and, with a
+telemetry registry installed, into the ``workflow.*`` series under the
+engine label ``monolithic``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Generator, Optional
 
 from ..dag import WorkflowDAG
-from ..metrics import (
-    InvocationRecord,
-    InvocationStatus,
-    MetricsCollector,
-    TransferEvent,
-)
+from ..metrics import InvocationRecord, MetricsCollector, TransferEvent
 from ..obs.spans import SpanKind
+from ..obs.telemetry import record_invocation_metrics
 from ..sim import Cluster, Node
-from .lifecycle import static_critical_exec
-from .state import InvocationState, new_invocation_id
+from .lifecycle import record_marker, static_critical_exec
+from .state import new_invocation_id
 
 __all__ = ["MonolithicSystem"]
+
+
+@dataclass
+class _RegisteredWorkflow:
+    """One workflow compiled to a dense function index (DAG node order)."""
+
+    dag: WorkflowDAG
+    critical_exec: float
+    names: tuple  # index -> function name
+    preds_needed: tuple  # index -> predecessor count
+    successors: tuple  # index -> successor indices, DAG order
+    sources: tuple  # source indices, DAG order
 
 
 class MonolithicSystem:
@@ -47,51 +63,77 @@ class MonolithicSystem:
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.host = host or cluster.workers[0]
         self.spans = cluster.spans
+        self.telemetry = cluster.telemetry
         if self.spans.enabled:
             self.metrics.spans = self.spans
-        # name -> (dag, its static_critical_exec)
-        self._workflows: dict[str, tuple[WorkflowDAG, float]] = {}
+        self._workflows: dict[str, _RegisteredWorkflow] = {}
 
     def register(self, dag: WorkflowDAG) -> None:
         dag.validate()
-        self._workflows[dag.name] = (dag, static_critical_exec(dag))
+        names = tuple(dag.node_names)
+        index = {name: position for position, name in enumerate(names)}
+        self._workflows[dag.name] = _RegisteredWorkflow(
+            dag=dag,
+            critical_exec=static_critical_exec(dag),
+            names=names,
+            preds_needed=tuple(len(dag.predecessors(n)) for n in names),
+            successors=tuple(
+                tuple(index[s] for s in dag.successors(n)) for n in names
+            ),
+            sources=tuple(index[s] for s in dag.sources()),
+        )
 
     def invoke(self, workflow: str) -> Generator:
         """Simulation process: one monolithic invocation."""
-        dag, critical_exec = self._workflows[workflow]
+        registered = self._workflows[workflow]
         invocation_id = new_invocation_id()
         record = InvocationRecord(
             workflow=workflow,
             invocation_id=invocation_id,
             mode=self.mode,
             started_at=self.env.now,
-            critical_path_exec=critical_exec,
+            critical_path_exec=registered.critical_exec,
         )
-        state = InvocationState(invocation_id)
+        count = len(registered.names)
         all_done = self.env.event()
-        remaining = {"count": len(dag.node_names)}
+        triggered = bytearray(count)
+        # Shared by the invocation's function processes: the two State
+        # arrays (predecessors done, triggered) and a countdown of the
+        # functions left to finish.
+        shared = (
+            registered, invocation_id, [0] * count, triggered, [count],
+            all_done,
+        )
         if self.spans.enabled:
             self.spans.start_invocation(
                 invocation_id, workflow=workflow, mode=self.mode
             )
-        for source in dag.sources():
-            state.state_of(source).triggered = True
+        for source in registered.sources:
+            triggered[source] = 1
             self.env.process(
-                self._run_function(dag, invocation_id, source, state, remaining, all_done),
-                name=f"mono:{workflow}:{source}",
+                self._run_function(source, shared),
+                name=f"mono:{workflow}:{registered.names[source]}",
             )
         yield all_done
         record.finished_at = self.env.now
         self.metrics.record_invocation(record)
+        if self.telemetry.enabled:
+            record_invocation_metrics(
+                self.telemetry, record, "default", self.mode
+            )
         if self.spans.enabled:
             root = self.spans.root_of(invocation_id)
             if root is not None:
                 self.spans.end(root, status=record.status)
         return record
 
-    def _run_function(
-        self, dag, invocation_id, function, state, remaining, all_done
-    ) -> Generator:
+    def _run_function(self, index: int, shared: tuple) -> Generator:
+        (
+            registered, invocation_id, preds_done, triggered, remaining,
+            all_done,
+        ) = shared
+        dag = registered.dag
+        function = registered.names[index]
         node_meta = dag.node(function)
         spans = self.spans
         if not node_meta.is_virtual:
@@ -158,30 +200,24 @@ class MonolithicSystem:
                 spans.clear_context(invocation_id, function)
         elif spans.enabled:
             # A step marker is a direct call: it takes no time.
-            spans.event(
-                SpanKind.FUNCTION,
-                workflow=dag.name,
-                invocation_id=invocation_id,
-                function=function,
-                node=self.host.name,
-                parent=spans.root_of(invocation_id),
-                virtual=True,
+            now = self.env.now
+            record_marker(
+                spans, now, now, dag.name, invocation_id, function,
+                self.host.name, False,
             )
-        state.state_of(function).executed = True
-        remaining["count"] -= 1
-        if remaining["count"] == 0 and not all_done.triggered:
+        remaining[0] -= 1
+        if remaining[0] == 0 and not all_done.triggered:
             all_done.succeed()
             return
-        for successor in dag.successors(function):
-            successor_state = state.state_of(successor)
-            successor_state.mark_predecessor_done()
-            if successor_state.ready(len(dag.predecessors(successor))):
-                successor_state.triggered = True
+        preds_needed = registered.preds_needed
+        for successor in registered.successors[index]:
+            done = preds_done[successor] + 1
+            preds_done[successor] = done
+            if not triggered[successor] and done >= preds_needed[successor]:
+                triggered[successor] = 1
                 self.env.process(
-                    self._run_function(
-                        dag, invocation_id, successor, state, remaining, all_done
-                    ),
-                    name=f"mono:{dag.name}:{successor}",
+                    self._run_function(successor, shared),
+                    name=f"mono:{dag.name}:{registered.names[successor]}",
                 )
 
     def _run_thread(

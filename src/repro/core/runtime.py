@@ -152,6 +152,10 @@ class FunctionRuntime:
                     self.registry.register(
                         proc, invocation_id, node=worker.name
                     )
+        # Each outcome sets the FUNCTION span's status (and a cancel's
+        # kind); the span closes once, on the way out.  An exit no
+        # outcome claims (the generator closed mid-yield) leaves it open.
+        status = cancel = None
         try:
             if inline:
                 yield from self._run_instance_with_retries(
@@ -160,6 +164,9 @@ class FunctionRuntime:
                 )
             else:
                 yield self.env.all_of(instance_procs)
+            result.finished_at = self.env.now
+            status = "ok"
+            return result
         except FunctionFailure:
             # One instance exhausted its retries: the function is doomed,
             # so stop the surviving siblings from burning CPU/containers.
@@ -167,52 +174,30 @@ class FunctionRuntime:
                 instance_procs,
                 CancelCause(CancelKind.SIBLING_FAILED, detail=function),
             )
-            if fn_span is not None:
-                spans.end(
-                    fn_span,
-                    status="failed",
-                    cold_starts=result.cold_starts,
-                    retries=result.retries,
-                )
-                spans.clear_context(invocation_id, function)
+            status = "failed"
             raise
         except TaskCancelled as cancelled:
             # An instance died to a terminal cancel that reached the
             # AllOf before this process was interrupted itself.  Mop up
             # and end quietly — the canceller owns the invocation's fate.
             self._cancel_instances(instance_procs, cancelled.cause)
-            if fn_span is not None:
-                spans.end(
-                    fn_span,
-                    status="cancelled",
-                    cold_starts=result.cold_starts,
-                    retries=result.retries,
-                    cancel=cancelled.cause.kind,
-                )
-                spans.clear_context(invocation_id, function)
+            status, cancel = "cancelled", cancelled.cause.kind
             return None
         except Interrupt as interrupt:
             cause = cause_of_interrupt(interrupt)
             self._cancel_instances(instance_procs, cause)
-            if fn_span is not None:
+            status, cancel = "cancelled", cause.kind
+            raise
+        finally:
+            if fn_span is not None and status is not None:
                 spans.end(
                     fn_span,
-                    status="cancelled",
+                    status=status,
                     cold_starts=result.cold_starts,
                     retries=result.retries,
-                    cancel=cause.kind,
+                    **({} if cancel is None else {"cancel": cancel}),
                 )
                 spans.clear_context(invocation_id, function)
-            raise
-        result.finished_at = self.env.now
-        if fn_span is not None:
-            spans.end(
-                fn_span,
-                cold_starts=result.cold_starts,
-                retries=result.retries,
-            )
-            spans.clear_context(invocation_id, function)
-        return result
 
     def _cancel_instances(self, instance_procs, cause: CancelCause) -> int:
         cancelled = 0

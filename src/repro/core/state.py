@@ -1,26 +1,27 @@
 """Workflow state structures (paper §3.1, Fig. 6).
 
 Each worker engine maintains a *Workflow* structure per workflow it
-hosts a sub-graph of: *FunctionInfo* (static metadata — predecessors
-count, successor locations) plus per-invocation *State* (how many
-predecessors have completed, whether the function has executed).  The
-MasterSP baseline reuses the same structures, simply holding the whole
-graph in one place.
+hosts a sub-graph of: *FunctionInfo* records (static metadata —
+predecessors count, successor locations) plus one *State* per
+invocation.  A *State* is two flat arrays indexed by a compiled
+function index: how many predecessors have completed, and a flag byte
+(``TRIGGERED`` / ``EXECUTED``).  WorkerSP and DataflowSP keep it in a
+:class:`CompiledInvocation` per structure; MasterSP and the monolithic
+baseline keep the same two arrays per invocation over a whole-graph
+index compiled at registration (their flag byte only ever holds
+``TRIGGERED``).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from ..dag import DAGError, WorkflowDAG
 
 __all__ = [
     "InvocationID",
     "FunctionInfo",
-    "FunctionState",
-    "InvocationState",
     "CompiledInvocation",
     "WorkflowStructure",
     "Placement",
@@ -136,166 +137,35 @@ class FunctionInfo:
         )
 
 
-@dataclass
-class FunctionState:
-    """Per-invocation execution state of one function."""
-
-    predecessors_done: int = 0
-    triggered: bool = False
-    executed: bool = False
-
-    def mark_predecessor_done(self) -> None:
-        self.predecessors_done += 1
-
-    def ready(self, predecessors_count: int) -> bool:
-        return (
-            not self.triggered
-            and self.predecessors_done >= predecessors_count
-        )
-
-
-@dataclass
-class InvocationState:
-    """All function states of one invocation within one engine."""
-
-    invocation_id: InvocationID
-    functions: dict[str, FunctionState] = field(default_factory=dict)
-
-    def state_of(self, function: str) -> FunctionState:
-        state = self.functions.get(function)
-        if state is None:
-            state = FunctionState()
-            self.functions[function] = state
-        return state
-
-    def all_executed(self, names: list[str]) -> bool:
-        return all(
-            self.functions.get(n) is not None and self.functions[n].executed
-            for n in names
-        )
-
-
-class _FunctionStateView:
-    """Attribute-compatible view of one function's slot in the arrays.
-
-    Lets callers that speak the :class:`FunctionState` protocol
-    (``triggered`` / ``executed`` / ``predecessors_done``) read and
-    write a :class:`CompiledInvocation` without the engines' hot path
-    having to allocate one object per (invocation, function).  Writes
-    keep the structure's live triggered-not-executed index consistent.
-    """
-
-    __slots__ = ("_invocation", "_index")
-
-    def __init__(self, invocation: "CompiledInvocation", index: int):
-        self._invocation = invocation
-        self._index = index
-
-    @property
-    def predecessors_done(self) -> int:
-        return self._invocation.preds_done[self._index]
-
-    @predecessors_done.setter
-    def predecessors_done(self, value: int) -> None:
-        self._invocation.preds_done[self._index] = value
-
-    @property
-    def triggered(self) -> bool:
-        return bool(self._invocation.flags[self._index] & TRIGGERED)
-
-    @triggered.setter
-    def triggered(self, value: bool) -> None:
-        inv = self._invocation
-        if value:
-            inv.flags[self._index] |= TRIGGERED
-            if not inv.flags[self._index] & EXECUTED:
-                inv.structure.note_triggered(inv.invocation_id, self._index)
-        else:
-            inv.flags[self._index] &= ~TRIGGERED
-            inv.structure.note_untriggered(inv.invocation_id, self._index)
-
-    @property
-    def executed(self) -> bool:
-        return bool(self._invocation.flags[self._index] & EXECUTED)
-
-    @executed.setter
-    def executed(self, value: bool) -> None:
-        inv = self._invocation
-        if value:
-            inv.flags[self._index] |= EXECUTED
-            inv.structure.note_untriggered(inv.invocation_id, self._index)
-        else:
-            inv.flags[self._index] &= ~EXECUTED
-            if inv.flags[self._index] & TRIGGERED:
-                inv.structure.note_triggered(inv.invocation_id, self._index)
-
-    def mark_predecessor_done(self) -> None:
-        self._invocation.preds_done[self._index] += 1
-
-    def ready(self, predecessors_count: int) -> bool:
-        inv = self._invocation
-        return (
-            not inv.flags[self._index] & TRIGGERED
-            and inv.preds_done[self._index] >= predecessors_count
-        )
-
-
 class CompiledInvocation:
     """Array-backed per-invocation *State* of one engine's sub-graph.
 
-    One integer and one flag byte per local function — indexed by the
-    structure's dense function index — instead of a dict of
-    :class:`FunctionState` objects.  ``state_of`` provides the
-    name-keyed compatibility view.
+    One integer (predecessors done) and one flag byte (``TRIGGERED`` /
+    ``EXECUTED``) per local function, indexed by the function's
+    position in :attr:`WorkflowStructure.local_names`.
     """
 
-    __slots__ = ("invocation_id", "structure", "preds_done", "flags")
+    __slots__ = ("invocation_id", "preds_done", "flags")
 
-    def __init__(
-        self, invocation_id: InvocationID, structure: "WorkflowStructure"
-    ):
+    def __init__(self, invocation_id: InvocationID, count: int):
         self.invocation_id = invocation_id
-        self.structure = structure
-        count = len(structure.local_names)
         self.preds_done = [0] * count
         self.flags = bytearray(count)
 
-    def state_of(self, function: str) -> _FunctionStateView:
-        return _FunctionStateView(
-            self, self.structure.local_index[function]
-        )
-
-    @property
-    def functions(self) -> dict[str, _FunctionStateView]:
-        """Name-keyed views over every local function's slot."""
-        return {
-            name: _FunctionStateView(self, index)
-            for index, name in enumerate(self.structure.local_names)
-        }
-
 
 class WorkflowStructure:
-    """The paper's per-worker *Workflow* structure, compiled to indices.
+    """The paper's per-worker *Workflow* structure (§3.1, Fig. 6).
 
-    Holds *FunctionInfo* for the functions this engine owns, a dense
-    integer index over them (``local_index`` / per-index arrays below),
-    and array-backed *State* per live invocation.  The engine releases
-    an invocation's *State* at the end of the invocation (§4.2.1), and
-    the whole structure is removed when its sub-graph version is
-    retired.
+    Holds the *FunctionInfo* records of the functions this engine owns
+    (``function_info``; their order is the dense index ``local_names``
+    the engine compiles its dispatch table over) and array-backed
+    *State* per live invocation.  The engine releases an invocation's
+    *State* at the end of the invocation (§4.2.1), and the whole
+    structure is removed when its sub-graph version is retired.
 
-    The compiled tables give the engines an O(1), allocation-free hot
-    path:
-
-    - ``local_index``: function name -> dense index (names only cross
-      the network; indices never leave one engine);
-    - ``preds_counts[i]`` / ``virtual_flags[i]``: trigger-readiness
-      metadata as flat arrays;
-    - ``successor_targets[i]``: pre-resolved ``(successor, worker)``
-      dispatch pairs in DAG order;
-    - ``_live``: the live triggered-not-executed index — crash
-      collection and watchdog scans touch only in-flight work instead
-      of every invocation ever seen.
+    ``_live`` is the live triggered-not-executed index: crash
+    collection and watchdog scans touch only in-flight work instead of
+    every invocation ever seen.
     """
 
     def __init__(
@@ -317,24 +187,7 @@ class WorkflowStructure:
             name: FunctionInfo.from_dag(dag, placement, name)
             for name in local_functions
         }
-        # -- compiled dense tables (indexed dispatch) ----------------------
         self.local_names: tuple[str, ...] = tuple(self.function_info)
-        self.local_index: dict[str, int] = {
-            name: index for index, name in enumerate(self.local_names)
-        }
-        infos = [self.function_info[name] for name in self.local_names]
-        self.infos: list[FunctionInfo] = infos
-        self.preds_counts: list[int] = [
-            info.predecessors_count for info in infos
-        ]
-        self.virtual_flags: list[bool] = [info.is_virtual for info in infos]
-        self.successor_targets: list[tuple[tuple[str, str], ...]] = [
-            tuple(
-                (successor, info.successor_locations[successor])
-                for successor in info.successors
-            )
-            for info in infos
-        ]
         self._invocations: dict[InvocationID, CompiledInvocation] = {}
         # invocation id -> set of local indices triggered but not yet
         # executed.  Kept exactly in sync with the flag bytes so crash
@@ -360,7 +213,7 @@ class WorkflowStructure:
     def invocation(self, invocation_id: InvocationID) -> CompiledInvocation:
         state = self._invocations.get(invocation_id)
         if state is None:
-            state = CompiledInvocation(invocation_id, self)
+            state = CompiledInvocation(invocation_id, len(self.local_names))
             self._invocations[invocation_id] = state
             if len(self._invocations) > self.peak_live_invocations:
                 self.peak_live_invocations = len(self._invocations)

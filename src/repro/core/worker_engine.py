@@ -10,15 +10,17 @@ ever crosses the network — the master only partitions graphs and
 sink functions' workers.
 
 Serving-throughput design: deployment compiles each ``(workflow,
-version)`` sub-graph into a per-engine dispatch table
-(:class:`_FnDispatch`) — dense function indices, pre-resolved successor
-deliveries, and precomputed process names, tags and wire sizes — so the
-per-invocation hot path does no string formatting, no placement
-lookups, and no per-function state allocation (state lives in
-:class:`CompiledInvocation` arrays).  A live triggered-not-executed
-index keeps crash collection O(in-flight) and invocation state is
-retired the moment the invocation completes, so engine memory tracks
-concurrency, not history.
+version)`` sub-graph's *FunctionInfo* records into the engine's one
+dispatch table for it (:class:`_FnDispatch` entries, kept beside the
+structure) — dense function indices, pre-resolved successor
+deliveries, and precomputed process names, tags and wire sizes — so
+the per-invocation hot path does no string formatting, no placement
+lookups, and no per-function state allocation: an invocation's
+*State* is the two flat arrays of a :class:`CompiledInvocation`
+(predecessors done, flag bytes) indexed by the entries' indices.  A
+live triggered-not-executed index keeps crash collection O(in-flight)
+and invocation state is retired the moment the invocation completes,
+so engine memory tracks concurrency, not history.
 
 Every state update travels through one routine,
 :meth:`WorkerEngine._deliver`: one hop (an in-process RPC or a
@@ -293,9 +295,8 @@ class WorkerEngine:
         self.env = node.env
         # The serialized engine loop: one step at a time, FIFO.
         self._lock: Optional[Resource] = Resource(self.env, capacity=1)
-        # (workflow, version) -> structure for the local sub-graph.
-        self._structures: dict[tuple[str, int], WorkflowStructure] = {}
-        # (workflow, version) -> (structure, name -> _FnDispatch).
+        # (workflow, version) -> (structure, name -> _FnDispatch): one
+        # compiled dispatch table per deployed sub-graph.
         self._compiled: dict[
             tuple[str, int],
             tuple[WorkflowStructure, dict[str, _FnDispatch]],
@@ -313,22 +314,26 @@ class WorkerEngine:
     # -- deployment ---------------------------------------------------------
     def deploy(self, structure: WorkflowStructure) -> None:
         key = (structure.workflow, structure.version)
-        self._structures[key] = structure
         self._compiled[key] = (structure, self._compile(structure))
 
     def _compile(
         self, structure: WorkflowStructure
     ) -> dict[str, _FnDispatch]:
-        """Build the indexed dispatch table for one deployed sub-graph."""
+        """Build the indexed dispatch table for one deployed sub-graph.
+
+        An entry's index is its function's position in
+        ``structure.local_names``, the slot of its *State* arrays.
+        """
         node_name = self.node.name
         entries: dict[str, _FnDispatch] = {}
-        for index, name in enumerate(structure.local_names):
+        for index, info in enumerate(structure.function_info.values()):
+            name = info.name
             entry = _FnDispatch()
             entry.name = name
             entry.index = index
-            entry.info = structure.infos[index]
-            entry.preds_count = structure.preds_counts[index]
-            entry.is_virtual = structure.virtual_flags[index]
+            entry.info = info
+            entry.preds_count = info.predecessors_count
+            entry.is_virtual = info.is_virtual
             entry.run_name = f"{self._run_prefix}:{node_name}:{name}"
             entry.sink_tag = f"sink:{name}"
             entry.fail_tag = f"failure:{name}"
@@ -360,7 +365,9 @@ class WorkerEngine:
         config = self.system.config
         plain = []
         groups: dict[str, list] = {}
-        for successor, target in structure.successor_targets[entry.index]:
+        info = entry.info
+        for successor in info.successors:
+            target = info.successor_locations[successor]
             if target == node_name:
                 remote = None
                 dest_structure, dest_entries = self._compiled[key]
@@ -393,21 +400,20 @@ class WorkerEngine:
 
     def retire(self, workflow: str, version: int) -> None:
         """Red-black support: drop an out-of-date sub-graph version."""
-        structure = self._structures.pop((workflow, version), None)
-        self._compiled.pop((workflow, version), None)
-        if structure is None:
+        compiled = self._compiled.pop((workflow, version), None)
+        if compiled is None:
             return
-        for function in structure.local_functions:
-            if not structure.info(function).is_virtual:
-                self.node.containers.recycle_version(function, version + 1)
+        _, entries = compiled
+        for entry in entries.values():
+            if not entry.is_virtual:
+                self.node.containers.recycle_version(entry.name, version + 1)
 
     def structure(self, workflow: str, version: int) -> WorkflowStructure:
-        try:
-            return self._structures[(workflow, version)]
-        except KeyError:
-            raise KeyError(
-                f"no sub-graph of {workflow!r} v{version} on {self.node.name}"
-            ) from None
+        return self._lookup(workflow, version)[0]
+
+    def structures(self) -> list[WorkflowStructure]:
+        """Every deployed sub-graph's structure, in deployment order."""
+        return [structure for structure, _ in self._compiled.values()]
 
     def _lookup(
         self, workflow: str, version: int
@@ -420,11 +426,11 @@ class WorkerEngine:
             ) from None
 
     def has_structure(self, workflow: str, version: int) -> bool:
-        return (workflow, version) in self._structures
+        return (workflow, version) in self._compiled
 
     @property
     def deployed_count(self) -> int:
-        return len(self._structures)
+        return len(self._compiled)
 
     # -- engine event loop ----------------------------------------------------
     def _step_time(self) -> float:
@@ -656,9 +662,12 @@ class WorkerEngine:
         self.down = True
         self.crash_count += 1
         pending: list[tuple[str, int, InvocationID, str]] = []
-        for (workflow, version), structure in self._structures.items():
+        for structure in self.structures():
             for invocation_id, function in structure.drain_live_triggered():
-                pending.append((workflow, version, invocation_id, function))
+                pending.append(
+                    (structure.workflow, structure.version, invocation_id,
+                     function)
+                )
         return pending
 
     def recover(self) -> None:

@@ -181,7 +181,7 @@ def run(
     peak_live = 0
     if engine != "master":
         for eng in system.engines.values():
-            for structure in eng._structures.values():
+            for structure in eng.structures():
                 peak_live = max(peak_live, structure.peak_live_invocations)
     notes = [
         f"{total_served:,} invocations served ({total_ok:,} ok) over "

@@ -75,7 +75,7 @@ def _run_load(workers: int, workflows_per_worker: float, invocations: int):
     busy = sum(e.busy_time for e in engines)
     events = sum(e.events_handled for e in engines)
     structures = sum(
-        _deep_size(e._structures) for e in engines
+        _deep_size(e.structures()) for e in engines
     )
     return {
         "workers": workers,

@@ -37,8 +37,8 @@ from typing import Any, Callable, Generator, Iterable, Optional
 # without ``sys.getrefcount`` the free-list simply stays empty.
 _getrefcount = getattr(sys, "getrefcount", None)
 
-# Upper bound on each per-environment free-list; beyond this, processed
-# objects are left for the garbage collector as usual.
+# Upper bound on the per-environment Timeout free-list; beyond this,
+# processed timers are left for the garbage collector as usual.
 _POOL_CAP = 128
 
 # Cancelled timers the queue tolerates before it considers compacting
@@ -251,10 +251,8 @@ class _Resume:
     The kernel schedules these wherever it used to allocate a throwaway
     trampoline :class:`Event` (process bootstrap, resuming a process that
     yielded an already-processed event when it cannot continue in place,
-    interrupt delivery).  A ``_Resume``
-    never escapes the kernel, so ``step()`` recycles it through a
-    per-environment free-list.  It quacks like a triggered event for the
-    one consumer it has: ``Process._resume`` reads ``ok`` and ``_value``.
+    interrupt delivery).  It quacks like a triggered event for the one
+    consumer it has: ``Process._resume`` reads ``ok`` and ``_value``.
     """
 
     __slots__ = ("_callback", "ok", "_value")
@@ -481,7 +479,7 @@ class Process(Event):
             # segment queued more same-instant work after asking for it.
             if next_target is not env._settled and not env._can_continue():
                 # The event already fired; resume in the same timestep
-                # through a pooled _Resume instead of a trampoline Event.
+                # through a bare _Resume instead of a trampoline Event.
                 env._schedule_resume(
                     self._resume, next_target._ok, next_target._value
                 )
@@ -525,7 +523,6 @@ class Environment:
         "_active_process",
         "_crashed",
         "_timeout_pool",
-        "_resume_pool",
         "_cancelled_timers",
         "_tail",
         "_stop",
@@ -541,11 +538,9 @@ class Environment:
         # Never rebound: compaction filters it in place, because run()
         # holds a local alias while it dispatches.
         self._queue: list[tuple[float, int, Event]] = []
-        # Free-lists for the two hottest allocations: Timeout events
-        # (recycled only once provably unreferenced) and kernel-internal
-        # _Resume entries (never escape, always recycled).
+        # Free-list for the hottest allocation: Timeout events, recycled
+        # only once provably unreferenced.
         self._timeout_pool: list[Timeout] = []
-        self._resume_pool: list[_Resume] = []
         # In-place continuation state (see _can_continue): whether the
         # running callback is the last one of the event being
         # dispatched, the event ``run(until=event)`` stops on (``_NO_STOP``
@@ -652,16 +647,10 @@ class Environment:
         Replaces the old pattern of allocating a trampoline ``Event`` +
         callback list + succeed/fail just to hop through the queue.
         """
-        pool = self._resume_pool
-        if pool:
-            entry = pool.pop()
-            entry._callback = callback
-            entry.ok = ok
-            entry._value = value
-        else:
-            entry = _Resume(callback, ok, value)
         self._eid += 1
-        heappush(self._queue, (self._now, self._eid, entry))
+        heappush(
+            self._queue, (self._now, self._eid, _Resume(callback, ok, value))
+        )
 
     def _can_continue(self) -> bool:
         """Whether a continuation may run in place instead of hopping.
@@ -835,19 +824,14 @@ class Environment:
         self._recycle(event)
 
     def _recycle(self, event: Event) -> None:
-        """Return a processed queue entry to its free-list when safe.
+        """Return a processed ``Timeout`` to the free-list when safe.
 
-        ``_Resume`` entries are kernel-internal and always recyclable.  A
-        ``Timeout`` is recycled only when the refcount proves this frame
-        holds the sole remaining references (nobody kept the object, put
-        it in a condition's ``_events``, or stored it in a result dict).
+        It is recycled only when the refcount proves this frame holds the
+        sole remaining references (nobody kept the object, put it in a
+        condition's ``_events``, or stored it in a result dict).
         """
-        cls = type(event)
-        if cls is _Resume:
-            if len(self._resume_pool) < _POOL_CAP:
-                self._resume_pool.append(event)
-        elif (
-            cls is Timeout
+        if (
+            type(event) is Timeout
             and _getrefcount is not None
             and len(self._timeout_pool) < _POOL_CAP
             and _getrefcount(event) == 3  # self._recycle arg + local + getrefcount arg
@@ -897,7 +881,6 @@ class Environment:
         # run.  Keep it in sync with step()/_recycle().
         queue = self._queue
         crashed = self._crashed
-        resume_pool = self._resume_pool
         timeout_pool = self._timeout_pool
         while stop._state != PROCESSED:
             if not queue or queue[0][0] > deadline:
@@ -923,10 +906,7 @@ class Environment:
                 raise SimulationError(
                     f"process {process.name!r} crashed at t={self._now}"
                 ) from error
-            if cls is _Resume:
-                if len(resume_pool) < _POOL_CAP:
-                    resume_pool.append(event)
-            elif (
+            if (
                 cls is Timeout
                 and _getrefcount is not None
                 and len(timeout_pool) < _POOL_CAP

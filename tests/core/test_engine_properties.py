@@ -4,7 +4,8 @@ Hypothesis generates random WDL-shaped workflows (sequences, parallel,
 switch and foreach steps); MasterSP, WorkerSP and DataflowSP execute
 them on fresh clusters with spans on, under drawn engine settings
 (runtime switch evaluation, batched control, eager shipping, data
-shipping).  The invariants that define a correct workflow engine are
+shipping), and so does the monolithic baseline, which has no settings
+to draw.  The invariants that define a correct workflow engine are
 checked on the span trees (see ``tests/span_oracle.py``):
 
 - the invocation completes,
@@ -24,6 +25,7 @@ from repro.core import (
     EngineConfig,
     FaaSFlowSystem,
     HyperFlowServerlessSystem,
+    MonolithicSystem,
     hash_partition,
 )
 from repro.sim import Cluster, ClusterConfig, ContainerSpec, Environment
@@ -126,6 +128,18 @@ def run_once(engine, document, config):
     return dag, system, spans, record
 
 
+def run_monolithic(document):
+    """One monolithic invocation of ``document`` on a fresh, traced cluster."""
+    dag = workflow_from_dict(document)
+    cluster = fresh_cluster()
+    spans = install_spans(cluster)
+    system = MonolithicSystem(cluster)
+    system.register(dag)
+    record = run_closed_loop(system, dag.name, 1)[0]
+    cluster.env.run(until=cluster.env.now)
+    return dag, spans, record
+
+
 def check_invariants(dag, system, spans, record):
     assert record.status == "ok"
     assert_executed_correctly(dag, spans, record.invocation_id)
@@ -180,6 +194,14 @@ class TestRandomWorkflows:
             batch_control=batch_control, eager_ship=eager_ship,
         )
         check_invariants(*run_once("dataflow", document, config))
+
+    @settings(max_examples=30, deadline=None)
+    @given(document=random_wdl())
+    def test_monolithic_invariants(self, document):
+        """The monolith never evaluates switches: every arm runs once."""
+        dag, spans, record = run_monolithic(document)
+        assert record.status == "ok"
+        assert_executed_correctly(dag, spans, record.invocation_id)
 
     @settings(max_examples=15, deadline=None)
     @given(document=random_wdl(), evaluate_switches=SWITCHES)

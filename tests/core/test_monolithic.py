@@ -80,6 +80,32 @@ class TestMonolithicTracing:
         assert system.spans.enabled is False
 
 
+class TestMonolithicTelemetry:
+    def test_invocation_reaches_workflow_series(self, env, cluster):
+        from repro.obs.telemetry import MetricsRegistry, find_metrics
+
+        registry = MetricsRegistry(clock=lambda: env.now)
+        cluster.install_telemetry(registry)
+        system = MonolithicSystem(cluster)
+        system.register(linear_dag(n=3))
+        env.run(until=env.process(system.invoke("lin")))
+        entries = find_metrics(
+            registry.snapshot(), "workflow.invocations",
+            status=InvocationStatus.OK,
+        )
+        assert [(entry["labels"], entry["total"]) for entry in entries] == [
+            (
+                {
+                    "tenant": "default",
+                    "workflow": "lin",
+                    "engine": "monolithic",
+                    "status": InvocationStatus.OK,
+                },
+                1.0,
+            )
+        ]
+
+
 class TestDataMovementComparison:
     def test_each_output_counted_once(self, env, cluster):
         system = MonolithicSystem(cluster)

@@ -93,8 +93,7 @@ class TestLiveIndexEquivalence:
         for until in (0.3, 0.7, 1.1, 1.6):
             env.run(until=until)
             for eng in system.engines.values():
-                for key in list(eng._structures):
-                    structure = eng._structures[key]
+                for structure in eng.structures():
                     expected = brute_force_pending(structure)
                     got = [
                         (inv, structure.local_names[index])
@@ -116,7 +115,7 @@ class TestLiveIndexEquivalence:
         env.run(until=0.8)
         drained_any = False
         for eng in system.engines.values():
-            for structure in eng._structures.values():
+            for structure in eng.structures():
                 expected = brute_force_pending(structure)
                 drained = structure.drain_live_triggered()
                 assert sorted(drained) == sorted(expected)
@@ -200,7 +199,7 @@ class TestStateRetirement:
             return  # the master keeps no per-invocation arrays outside invoke
         assert not system._contexts
         for eng in system.engines.values():
-            for structure in eng._structures.values():
+            for structure in eng.structures():
                 assert structure.invocation_items() == []
                 assert structure.live_invocations == 0
                 assert structure.live_triggered_count == 0
@@ -226,7 +225,7 @@ class TestStateRetirement:
         # never coexist; far below the total served either way.
         assert 0 < system.peak_in_flight < total / 4
         for eng in system.engines.values():
-            for structure in eng._structures.values():
+            for structure in eng.structures():
                 assert (
                     structure.peak_live_invocations <= system.peak_in_flight
                 )

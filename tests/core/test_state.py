@@ -3,9 +3,8 @@
 import pytest
 
 from repro.core.state import (
+    EXECUTED,
     FunctionInfo,
-    FunctionState,
-    InvocationState,
     Placement,
     PlacementError,
     WorkflowStructure,
@@ -65,35 +64,6 @@ class TestPlacement:
         assert placement.workers() == ["w0", "w1"]
 
 
-class TestFunctionState:
-    def test_ready_requires_all_predecessors(self):
-        state = FunctionState()
-        assert state.ready(0)
-        assert not state.ready(2)
-        state.mark_predecessor_done()
-        state.mark_predecessor_done()
-        assert state.ready(2)
-
-    def test_triggered_blocks_ready(self):
-        state = FunctionState()
-        state.triggered = True
-        assert not state.ready(0)
-
-
-class TestInvocationState:
-    def test_state_of_creates_lazily(self):
-        inv = InvocationState(1)
-        state = inv.state_of("f")
-        assert state is inv.state_of("f")
-
-    def test_all_executed(self):
-        inv = InvocationState(1)
-        inv.state_of("a").executed = True
-        assert not inv.all_executed(["a", "b"])
-        inv.state_of("b").executed = True
-        assert inv.all_executed(["a", "b"])
-
-
 class TestFunctionInfo:
     def test_from_dag(self):
         dag = fanout_dag(branches=2)
@@ -131,11 +101,12 @@ class TestWorkflowStructure:
         structure = WorkflowStructure(dag, all_on(dag, "w0"), ["f0"])
         inv = structure.invocation(42)
         assert structure.live_invocations == 1
-        inv.state_of("f0").executed = True
+        index = structure.local_names.index("f0")
+        inv.flags[index] |= EXECUTED
         structure.release_invocation(42)
         assert structure.live_invocations == 0
         # After release, the state is fresh.
-        assert not structure.invocation(42).state_of("f0").executed
+        assert not structure.invocation(42).flags[index] & EXECUTED
 
     def test_incomplete_placement_rejected(self):
         dag = linear_dag(n=3)

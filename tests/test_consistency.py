@@ -175,7 +175,7 @@ class TestResourceHygiene:
         for worker in cluster.workers:
             assert worker.cpu.busy == 0
         for engine in system.engines.values():
-            for structure in engine._structures.values():
+            for structure in engine.structures():
                 assert structure.live_invocations == 0
 
     def test_memstore_drains_after_invocations(self):
