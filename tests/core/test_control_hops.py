@@ -1,4 +1,4 @@
-"""Control hops under abort and crash, on WorkerSP and DataflowSP.
+"""Control hops under abort and crash, on all three engines.
 
 A control hop carries one state update (WorkerSP) or token
 (DataflowSP) to its destination engine: the message is in flight, then
@@ -9,6 +9,11 @@ instant: the lock is freed or handed on at once, not when the step
 timer would have fired, the update is never applied, and nothing of
 the invocation stays registered.  A crash test pins the recovery
 replay: every deferred entry pays exactly one engine step.
+
+MasterSP's per-function task runs on the same chain (engine step,
+assign message, execution, result message, engine step under the
+master's lock); its tests abort it in each hop state and crash its
+worker mid-execution.
 
 Times come from a traced calibration run of the same deterministic
 workload: the hop's ``state-sync`` span starts when the message is sent
@@ -26,6 +31,7 @@ from repro.core import (
     FaaSFlowSystem,
     FaultDriver,
     FaultPlan,
+    HyperFlowServerlessSystem,
     NodeCrash,
     Placement,
 )
@@ -288,3 +294,174 @@ class TestCrashReplay:
         assert system.engine("worker-0").events_handled == 1 + 3
         env.run()
         assert system.registry.live_count == 0
+
+
+def _master(traced=False):
+    """MasterSP running one function, f0, on worker-1."""
+    env = Environment()
+    cluster = Cluster(
+        env,
+        ClusterConfig(workers=2, container=ContainerSpec(cold_start_time=0.1)),
+    )
+    spans = install_spans(cluster) if traced else None
+    system = HyperFlowServerlessSystem(cluster, EngineConfig(ship_data=False))
+    dag = linear_dag(n=1, service_time=0.5)
+    system.register(
+        dag, Placement(workflow=dag.name, assignment={"f0": "worker-1"})
+    )
+    return env, system, spans
+
+
+def _master_times():
+    """(sent, landed) of f0's assign and result messages, traced."""
+    _, system, spans = _master(traced=True)
+    record = run_closed_loop(system, "lin", 1)[0]
+    assert record.status == InvocationStatus.OK
+    hops = {
+        span.attrs["role"]: (span.start, span.end)
+        for span in spans.of_kind(SpanKind.STATE_SYNC)
+    }
+    assert sorted(hops) == ["assign", "result"]
+    return hops["assign"], hops["result"]
+
+
+class TestMasterTask:
+    """MasterSP's task is the same chain: abort it in every hop state,
+    crash its worker mid-execution."""
+
+    def _abort(self, at, rival=None):
+        """Run f0 and abort the invocation at ``at``.
+
+        ``rival`` is ``(start, hold)`` for a process competing for the
+        master's engine lock.  Checks what every abort must leave
+        behind and returns the record, the engine steps taken before
+        the abort, the rival's log and the lock's ``(in_use,
+        queue_length)`` just before the abort and once the abort
+        instant has drained.
+        """
+        env, system, _ = _master()
+        lock = system._lock
+        log = []
+        if rival is not None:
+            env.process(_lock_user(env, lock, *rival, log))
+        invoke = env.process(system.invoke("lin"))
+        env.run(until=at)
+        before = (lock.in_use, lock.queue_length)
+        steps = system.events_handled
+        (invocation_id,) = system._contexts
+        assert system.registry.live(invocation_id)
+        system.registry.cancel_invocation(invocation_id, ABORT)
+        env.run(until=at)  # drain the abort instant
+        after = (lock.in_use, lock.queue_length)
+        assert system.registry.live_count == 0
+        record = env.run(until=invoke)
+        env.run()
+        assert record.status == InvocationStatus.TIMEOUT
+        assert system.events_handled == steps
+        assert system.registry.live_count == 0
+        assert (lock.in_use, lock.queue_length) == (0, 0)
+        return record, steps, log, (before, after)
+
+    def test_assign_in_flight(self):
+        (sent, landed), _ = _master_times()
+        record, steps, _, _ = self._abort((sent + landed) / 2)
+        assert steps == 1
+        assert record.cold_starts == 0  # the worker never executed f0
+
+    def test_result_in_flight(self):
+        _, (sent, landed) = _master_times()
+        record, steps, _, _ = self._abort((sent + landed) / 2)
+        assert steps == 1
+        assert record.cold_starts == 1
+
+    def test_queued_on_busy_lock(self):
+        _, (_, landed) = _master_times()
+        step = EngineConfig().master_process_time
+        at = landed + step / 2
+        # The rival holds the lock across the landing, so the task's
+        # second step queues.
+        _, steps, log, lock = self._abort(at, rival=(landed - step, 4 * step))
+        assert steps == 1
+        # Withdrawn from the queue at the abort instant; the rival keeps
+        # the lock until its own release.
+        assert lock == ((1, 1), (1, 0))
+        assert log == [
+            ("granted", landed - step),
+            ("released", landed + 3 * step),
+        ]
+
+    def test_holding_lock_hands_it_on_at_the_abort(self):
+        _, (_, landed) = _master_times()
+        step = EngineConfig().master_process_time
+        at = landed + step / 2
+        # The rival queues behind the task's second step and must get
+        # the lock at the abort instant, not when the step timer fires.
+        _, steps, log, lock = self._abort(at, rival=(landed + step / 4, step))
+        assert steps == 1
+        assert lock == ((1, 1), (1, 0))
+        assert log == [("granted", at), ("released", at + step)]
+
+    def test_abort_before_the_entry_link_runs(self):
+        """Aborted in the instant it is triggered, the task still takes
+        its queued entry link, as a spawned process would run its first
+        segment, and gives the lock back at the abort."""
+        env, system, _ = _master()
+        invoke = env.process(system.invoke("lin"))
+        env.step()  # the invocation launches: f0's entry link is queued
+        (invocation_id,) = system._contexts
+        assert system.registry.cancel_invocation(invocation_id, ABORT) == 1
+        env.run(until=env.now)
+        assert system.registry.live_count == 0
+        record = env.run(until=invoke)
+        env.run()
+        assert record.status == InvocationStatus.TIMEOUT
+        assert system.events_handled == 0
+        assert system.messages_sent == 0
+        assert (system._lock.in_use, system._lock.queue_length) == (0, 0)
+
+    @pytest.mark.parametrize("hop", ["assign", "result"])
+    def test_cancel_node_spares_the_task_between_executions(self, hop):
+        times = dict(zip(("assign", "result"), _master_times()))
+        sent, landed = times[hop]
+        env, system, _ = _master()
+        invoke = env.process(system.invoke("lin"))
+        env.run(until=(sent + landed) / 2)
+        (invocation_id,) = system._contexts
+        (task,) = system.registry.live(invocation_id)
+        for node in ("worker-0", "worker-1"):
+            cause = CancelCause(CancelKind.NODE_CRASH, detail=node)
+            assert system.registry.cancel_node(node, cause) == 0
+        assert task.is_alive
+        record = env.run(until=invoke)
+        assert record.status == InvocationStatus.OK
+        assert system.registry.live_count == 0
+
+    def test_worker_crash_mid_execution_retries(self):
+        (_, assigned), (returned, _) = _master_times()
+        env, system, spans = _master(traced=True)
+        crash_at = (assigned + returned) / 2
+        plan = FaultPlan(
+            node_crashes=[NodeCrash(node="worker-1", at=crash_at, recovery=0.5)]
+        )
+        FaultDriver(system.cluster, plan).attach(system).start()
+        invoke = env.process(system.invoke("lin"))
+        env.run(until=crash_at)
+        (invocation_id,) = system._contexts
+        (task,) = system.registry.live(invocation_id)
+        record = env.run(until=invoke)
+        env.run()
+        # The crash killed the attempt, not the task: the execution
+        # retried on the recovered worker and both hops still ran.
+        assert record.status == InvocationStatus.OK
+        assert record.retries >= 1
+        assert record.finished_at > crash_at + 0.5
+        assert not task.is_alive
+        assert system.events_handled == 2
+        assert system.messages_sent == 2
+        assert system.registry.live_count == 0
+        (execution,) = [
+            span
+            for span in spans.of_kind(SpanKind.FUNCTION)
+            if span.function == "f0"
+        ]
+        assert execution.status == "ok"
