@@ -24,6 +24,7 @@ from ..core import (
     HyperFlowServerlessSystem,
     hash_partition,
 )
+from ..core.state import reset_invocation_ids
 from ..workloads import build
 from .common import ExperimentResult, make_cluster
 
@@ -226,11 +227,14 @@ def run_backoff(
 
     Backoff trades latency on crashed paths for pressure relief; in the
     simulator (retries always succeed in grabbing a container) the
-    visible effect is the added mean latency per backoff step.
+    visible effect is the added mean latency per backoff step.  Retry
+    jitter is keyed on the invocation id, so every cell restarts the
+    ids: a cell's rows do not depend on what ran before it.
     """
     rows = []
     for engine in ("worker", "master"):
         for base in bases:
+            reset_invocation_ids(1)
             cluster = make_cluster()
             faults = FaultInjector(default_rate=rate, seed=42)
             config = EngineConfig(

@@ -290,3 +290,16 @@ class TestScaleServe:
         assert [t.invocation_id for t in metrics.transfers] == [2]
         env.run(until=2.5)
         assert len(metrics.transfers) == 0 and metrics.data_moved("w") == 0
+
+
+class TestFaultsBackoff:
+    def test_rows_do_not_depend_on_what_ran_before(self):
+        """Retry jitter is keyed on the invocation id: every cell
+        restarts the ids, so the sweep repeats exactly in one process,
+        after another experiment has consumed ids."""
+        from repro.experiments import ext_fault_resilience
+
+        ext_fault_resilience.run(invocations=2, rates=(0.05,))
+        first = ext_fault_resilience.run_backoff()
+        second = ext_fault_resilience.run_backoff()
+        assert first.rows == second.rows
