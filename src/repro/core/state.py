@@ -195,21 +195,6 @@ class WorkflowStructure:
         self._live: dict[InvocationID, set[int]] = {}
         self.peak_live_invocations = 0
 
-    @property
-    def local_functions(self) -> list[str]:
-        return list(self.function_info)
-
-    def owns(self, function: str) -> bool:
-        return function in self.function_info
-
-    def info(self, function: str) -> FunctionInfo:
-        try:
-            return self.function_info[function]
-        except KeyError:
-            raise DAGError(
-                f"function {function!r} is not local to this engine"
-            ) from None
-
     def invocation(self, invocation_id: InvocationID) -> CompiledInvocation:
         state = self._invocations.get(invocation_id)
         if state is None:
@@ -223,12 +208,6 @@ class WorkflowStructure:
         """Free the *State* arrays at the end of an invocation (§4.2.1)."""
         self._invocations.pop(invocation_id, None)
         self._live.pop(invocation_id, None)
-
-    def invocation_items(
-        self,
-    ) -> list[tuple[InvocationID, CompiledInvocation]]:
-        """Snapshot of the live (invocation_id, state) pairs."""
-        return list(self._invocations.items())
 
     @property
     def live_invocations(self) -> int:
@@ -270,20 +249,3 @@ class WorkflowStructure:
                 pending.append((invocation_id, self.local_names[index]))
         self._live.clear()
         return pending
-
-    def live_triggered(self) -> list[tuple[InvocationID, int]]:
-        """Snapshot of (invocation_id, index) pairs triggered-not-executed.
-
-        Ordered by trigger arrival (dict insertion) per invocation and
-        ascending index within one, so crash collection is
-        deterministic.
-        """
-        return [
-            (invocation_id, index)
-            for invocation_id, indices in self._live.items()
-            for index in sorted(indices)
-        ]
-
-    @property
-    def live_triggered_count(self) -> int:
-        return sum(len(indices) for indices in self._live.values())

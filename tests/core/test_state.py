@@ -86,10 +86,8 @@ class TestWorkflowStructure:
         dag = linear_dag(n=3)
         placement = round_robin(dag, ["w0", "w1"])
         structure = WorkflowStructure(dag, placement, ["f0", "f2"])
-        assert structure.owns("f0")
-        assert not structure.owns("f1")
-        with pytest.raises(DAGError):
-            structure.info("f1")
+        assert structure.local_names == ("f0", "f2")
+        assert "f1" not in structure.function_info
 
     def test_unknown_local_function_rejected(self):
         dag = linear_dag()
