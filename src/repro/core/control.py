@@ -3,11 +3,9 @@
 Every control message an engine sends goes through :func:`send_control`:
 MasterSP task assignments and results, WorkerSP state and DataflowSP
 token syncs (single or batched), invocation requests, and sink and
-failure reports to the client.  MasterSP processes and the failure
-report of a WorkerSP trigger handler yield the delivery event; WorkerSP
-and DataflowSP deliver state updates, tokens, invocation requests and
-sink reports as callback chains on it (``repro.core.worker_engine``'s
-``_Hop`` and ``_SinkReport``).
+failure reports to the client.  Every engine's control hops wait on
+the delivery event as callback chains (``repro.core.worker_engine``);
+only the failure report of a WorkerSP trigger handler yields it.
 :meth:`repro.sim.network.Network.message` accounts the message (NIC
 and pair bytes, ``message_count``, ``net.*`` telemetry) and records no
 span, so each message has exactly one span.
@@ -36,9 +34,8 @@ def send_control(
 ) -> Event:
     """Send a control message from ``src`` to ``dst``; return its delivery.
 
-    The caller waits on the returned event: a MasterSP process yields
-    it, and a WorkerSP/DataflowSP control hop appends its arrival
-    callback to it.  With spans on, the message's ``state-sync`` span
+    The caller's control hop appends its arrival callback to the
+    returned event.  With spans on, the message's ``state-sync`` span
     (``role``, ``dst``; a batch of more than one update adds ``batch``
     and the role suffix ``-batch``) is recorded under the invocation
     root when the message lands, before the waiter runs: its callback
